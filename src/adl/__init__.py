@@ -11,8 +11,9 @@ Entry points:
 
 * :func:`adl.scheduler.run_clocked` / :func:`adl.scheduler.run_parallel`
   -- the pipeline itself (single-thread clock or thread-per-module).
-* :func:`adl.oracle.sync_ga_sgd` / :func:`adl.oracle.delayed_replay`
-  -- plain reference implementations the pipeline must match bit for bit.
+* :func:`adl.oracle.delayed_replay` -- the reference oracle the pipeline
+  must match bit for bit; :func:`adl.oracle.sync_ga_sgd` is its K = 1
+  case, plain synchronous gradient-accumulation SGD.
 * :mod:`adl.cli` -- ``adl run|staleness-table|bounds|compare``.
 """
 from .errors import (AdlError, ComparisonError, ConfigError, DimensionError,
@@ -34,8 +35,7 @@ from .optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig, Slot,
                         lr_at, scaled_base_lr)
 from .data import (CLASSIFICATION, REGRESSION, Dataset, batch_indices,
                    gen_linreg, gen_two_spirals, make_dataset, sample_batch)
-from .scheduler import (ActivationMsg, GradientMsg, TrainConfig,
-                        run_clocked, run_parallel, schedule_position)
+from .scheduler import TrainConfig, run_clocked, run_parallel, schedule_position
 from .oracle import delayed_replay, sync_ga_sgd
 from .trace import (CompareReport, RunTrace, Slot as TraceSlot, StopWatch,
                     TickEvent, UpdateRecord, compare_traces,
@@ -59,8 +59,7 @@ __all__ = [
     "ga_update", "global_grad_norm", "grads_sumsq", "lr_at", "scaled_base_lr",
     "CLASSIFICATION", "REGRESSION", "Dataset", "batch_indices", "gen_linreg",
     "gen_two_spirals", "make_dataset", "sample_batch",
-    "ActivationMsg", "GradientMsg", "TrainConfig", "run_clocked",
-    "run_parallel", "schedule_position",
+    "TrainConfig", "run_clocked", "run_parallel", "schedule_position",
     "delayed_replay", "sync_ga_sgd",
     "CompareReport", "RunTrace", "StopWatch", "TickEvent", "UpdateRecord",
     "compare_traces", "observed_averaged_los", "read_csv", "summary_text",

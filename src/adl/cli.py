@@ -20,7 +20,6 @@ import configparser
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import data as data_mod
@@ -267,8 +266,8 @@ def cmd_run(args, out_stream=None, err_stream=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = _RUNNERS[mode](cfg, dataset)
     write_csv(trace, out_dir / "trace.csv")
-    predicted = {k: averaged_los(cfg.K, k, cfg.ga_steps)
-                 for k in range(1, cfg.K + 1)} if mode != "sync-ga" else {1: Fraction(0)}
+    predicted = {k: averaged_los(trace.K, k, cfg.ga_steps)
+                 for k in range(1, trace.K + 1)}
     text = summary_text(trace, predicted)
     (out_dir / "summary.txt").write_text(text)
     if trace_level == "ticks" and trace.events is not None:

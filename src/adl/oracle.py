@@ -1,9 +1,5 @@
 """Reference trainers the pipeline is checked against.
 
-sync_ga_sgd treats the whole network as one module: M ordinary
-forward/backward passes per update, then one accumulated-SGD step.  It
-must match run_clocked with K = 1 bit for bit.
-
 delayed_replay reconstructs what the pipeline is *supposed* to compute,
 from first principles and without any message passing: the j-th
 gradient of update s+1 in module k is the slice of a full-network
@@ -16,8 +12,15 @@ the replay bit for bit -- that equality is the core correctness claim
 for the delayed-gradient bookkeeping.  The replay deliberately wastes
 work (one full pass per module per slot); it is an oracle, not a
 training path.
+
+sync_ga_sgd is the replay's K = 1 case: one module over the whole
+network has no delay, so update s+1 is M ordinary forward/backward
+passes on version s followed by one accumulated-SGD step.  It must match
+run_clocked with K = 1 bit for bit.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -26,12 +29,11 @@ from .errors import ProtocolError
 from .net import LayerState, init_states, net_backward, net_forward
 from .optimizer import (Accumulator, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
-from .scheduler import TrainConfig, _check_dataset
+from .partition import Partition
+from .scheduler import TrainConfig, _check_dataset, prune_snapshots
 from .trace import RunTrace, StopWatch, UpdateRecord
 
-__all__ = ["sync_ga_sgd", "delayed_replay", "compare_traces"]
-
-from .trace import compare_traces  # noqa: E402  (re-export; defined there)
+__all__ = ["sync_ga_sgd", "delayed_replay"]
 
 
 def _wrap(params):
@@ -39,56 +41,11 @@ def _wrap(params):
 
 
 def sync_ga_sgd(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
-    """Plain gradient-accumulation SGD on the unsplit network."""
-    _check_dataset(cfg, dataset)
-    specs = cfg.layers
-    M, S = cfg.ga_steps, cfg.updates
-    params = [st.params for st in init_states(specs, cfg.seed, cfg.init_scale)]
-    velocity = None
-    acc = Accumulator([p.size for p in params], M)
-    snapshots = [params]
-    updates, grads_hist = [], []
-    diverged = False
-    reason = None
-    with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
-        for s in range(S):
-            loss_close = None
-            for j in range(M):
-                t = M * s + j
-                x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
-                loss, ctx = net_forward(specs, _wrap(params), x, cfg.loss, y)
-                if not np.isfinite(loss) or abs(loss) > cfg.divergence_limit:
-                    diverged = True
-                    reason = f"loss={loss!r} at batch {t}"
-                grads, _ = net_backward(specs, _wrap(params), ctx, cfg.loss, y)
-                acc.add(grads, t, s)
-                if j == M - 1:
-                    loss_close = loss
-            slots = list(acc.slots)
-            params, velocity, avg = ga_update(params, acc,
-                                              lr_at(cfg.schedule, s),
-                                              cfg.sgd, velocity)
-            acc.reset()
-            snapshots.append(params)
-            sumsq = grads_sumsq(avg)
-            norm = global_grad_norm([sumsq])
-            updates.append(UpdateRecord(s, M * (s + 1) - 1, loss_close, norm,
-                                        {1: slots}))
-            if cfg.record_grads:
-                grads_hist.append(np.concatenate([a.ravel() for a in avg]))
-            if not np.isfinite(norm) or norm > cfg.divergence_limit:
-                diverged = True
-                reason = reason or f"gradient norm {norm!r} at update {s + 1}"
-            if diverged:
-                break
-    trace = RunTrace("sync-ga", 1, M, updates, diverged=diverged,
-                     divergence_reason=reason, wall_time=sw.elapsed)
-    if cfg.record_params and not diverged:
-        trace.params = [np.concatenate([p.ravel() for p in snap])
-                        for snap in snapshots]
-    if cfg.record_grads and not diverged:
-        trace.grads = grads_hist
-    return trace
+    """Plain gradient-accumulation SGD on the unsplit network: the
+    delayed replay of a single module that owns every layer."""
+    whole = Partition(len(cfg.layers), (0, len(cfg.layers)))
+    trace = delayed_replay(dataclasses.replace(cfg, partition=whole), dataset)
+    return dataclasses.replace(trace, mode="sync-ga")
 
 
 def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
@@ -102,7 +59,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     module_params = {k: [states0[i].params for i in module_layers[k]]
                      for k in range(1, K + 1)}
     velocities = dict.fromkeys(module_params, None)
-    snapshots = [[st.params for st in states0]]  # full net, per version
+    snapshots = {0: [st.params for st in states0]}  # full net, per version
     updates, grads_hist = [], []
     diverged = False
     reason = None
@@ -119,9 +76,8 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                         acc.add_skipped(t)
                         continue
                     v = t // M  # == effective_version(s, j, K, k, M)
-                    if v >= len(snapshots):
-                        raise ProtocolError(
-                            f"replay needs version {v} before it exists")
+                    if v not in snapshots:
+                        raise ProtocolError(f"replay does not hold version {v}")
                     x, y = sample_batch(dataset, cfg.batch_size,
                                         cfg.sampler_seed, t)
                     loss, ctx = net_forward(specs, _wrap(snapshots[v]), x,
@@ -148,8 +104,10 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                     diverged = True
                     reason = reason or (f"module {k} gradient norm "
                                         f"{np.sqrt(sumsq)!r} at update {s + 1}")
-            snapshots.append([p for k in range(1, K + 1)
-                              for p in module_params[k]])
+            snapshots[s + 1] = [p for k in range(1, K + 1)
+                                for p in module_params[k]]
+            if not cfg.record_params:
+                prune_snapshots(snapshots, M * (s + 1) - 2 * (K - 1), M)
             norm = global_grad_norm(sumsqs)
             updates.append(UpdateRecord(s, M * (s + 1) + K - 2, loss_close,
                                         norm, slot_map))
@@ -164,7 +122,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                      divergence_reason=reason, wall_time=sw.elapsed)
     if cfg.record_params and not diverged:
         trace.params = [np.concatenate([p.ravel() for p in snap])
-                        for snap in snapshots]
+                        for snap in snapshots.values()]
     if cfg.record_grads and not diverged:
         trace.grads = grads_hist
     return trace

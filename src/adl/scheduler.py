@@ -20,13 +20,16 @@ backward, each worker keeps a ring of parameter snapshots per version.
 Updates build fresh arrays, so a snapshot is just a reference to the
 parameter list that was live at that version.
 
-run_clocked executes the tick loop in-process; run_parallel runs one
-thread per module connected by bounded FIFO queues and produces a
-bit-identical trace (each worker performs the same float operations in
+Both runners feed every slot through feed_slot, which reads a worker's
+inputs from and sends its outputs to FIFO edges keyed (sender, receiver).
+run_clocked executes the tick loop in-process over plain deques;
+run_parallel runs one thread per module over bounded queues and produces
+a bit-identical trace (each worker performs the same float operations in
 the same order, only wall-clock interleaving differs).
 """
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -55,14 +58,18 @@ def schedule_position(b: int, k: int, K: int):
     return b + (k - 1), b + 2 * K - k - 1
 
 
-@dataclass(frozen=True)
-class ActivationMsg:
-    batch_index: int
-    payload: np.ndarray
+def prune_snapshots(snapshots: dict, first_batch: int, M: int):
+    """Drop the parameter versions older than floor(first_batch / M), the
+    oldest version a backward of batch first_batch or later reads."""
+    needed = max(0, first_batch // M)
+    for v in [v for v in snapshots if v < needed]:
+        del snapshots[v]
 
 
 @dataclass(frozen=True)
-class GradientMsg:
+class Message:
+    """An activation sent up, or an input gradient sent down, one edge."""
+
     batch_index: int
     payload: np.ndarray
 
@@ -154,20 +161,9 @@ class ModuleWorker:
         self.divergence_reason = None
         self._pending = None  # (batch, loss, dpred) from this slot's forward
 
-    # -- helpers the runners use to decide what to feed ------------------
-
-    def expects_forward(self, u: int) -> bool:
-        return 0 <= u < self.cfg.total_batches
-
-    def expects_gradient(self, u: int) -> bool:
-        return (self.k < self.K and u < self.cfg.total_batches
-                and u - self.two_delta >= 0)
-
     def emits_gradient_at(self, t_b: int) -> bool:
         return (self.k > 1
                 and t_b < self.cfg.total_batches - self.two_delta - 2)
-
-    # ---------------------------------------------------------------------
 
     def _forward(self, u: int, x: np.ndarray, target):
         if self.version != u // self.cfg.ga_steps:
@@ -235,9 +231,8 @@ class ModuleWorker:
         self.version += 1
         self.snapshots[self.version] = self.params
         if not self.cfg.record_params:
-            needed = max(0, (u + 1 - self.two_delta) // self.cfg.ga_steps)
-            for v in [v for v in self.snapshots if v < needed]:
-                del self.snapshots[v]
+            prune_snapshots(self.snapshots, u + 1 - self.two_delta,
+                            self.cfg.ga_steps)
         if self.events is not None:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
@@ -248,42 +243,34 @@ class ModuleWorker:
                 f"at update {s + 1}")
 
     def process_slot(self, u: int, fwd_x, grad_msg, target):
-        """Run one slot: forward batch u, backward batch u - 2*(K-k),
-        update if u closes an accumulation group.  Returns the outgoing
-        (ActivationMsg | None, GradientMsg | None)."""
-        M, MS = self.cfg.ga_steps, self.cfg.total_batches
+        """Run slot 0 <= u < M*S: forward batch u, backward batch
+        u - 2*(K-k), update if u closes an accumulation group.  Returns
+        the outgoing (activation, gradient) Messages, either may be None."""
+        M = self.cfg.ga_steps
         act_out = grad_out = None
-        if self.expects_forward(u):
-            if fwd_x is None:
-                raise ProtocolError(
-                    f"module {self.k} missing forward input for batch {u}")
-            y = self._forward(u, fwd_x, target)
-            if self.k < self.K:
-                act_out = ActivationMsg(u, y)
+        y = self._forward(u, fwd_x, target)
+        if self.k < self.K:
+            act_out = Message(u, y)
         t_b = u - self.two_delta
-        if u < MS:
-            if t_b >= 0:
-                if self.k == self.K:
-                    pbatch, _, dpred = self._pending
-                    if pbatch != t_b:
-                        raise ProtocolError("top-module forward/backward skew")
-                    gout = dpred
-                else:
-                    if grad_msg is None:
-                        raise ProtocolError(
-                            f"module {self.k} missing gradient for batch {t_b}")
-                    if grad_msg.batch_index != t_b:
-                        raise ProtocolError(
-                            f"module {self.k} expected gradient for batch "
-                            f"{t_b}, got {grad_msg.batch_index}")
-                    gout = grad_msg.payload
-                g_in = self._backward(t_b, gout)
-                if self.emits_gradient_at(t_b):
-                    grad_out = GradientMsg(t_b, g_in)
+        if t_b >= 0:
+            if self.k == self.K:
+                pbatch, _, dpred = self._pending
+                if pbatch != t_b:
+                    raise ProtocolError("top-module forward/backward skew")
+                gout = dpred
             else:
-                self.acc.add_skipped(t_b)
-            if u % M == M - 1:
-                self._update(u)
+                if grad_msg.batch_index != t_b:
+                    raise ProtocolError(
+                        f"module {self.k} expected gradient for batch "
+                        f"{t_b}, got {grad_msg.batch_index}")
+                gout = grad_msg.payload
+            g_in = self._backward(t_b, gout)
+            if self.emits_gradient_at(t_b):
+                grad_out = Message(t_b, g_in)
+        else:
+            self.acc.add_skipped(t_b)
+        if u % M == M - 1:
+            self._update(u)
         return act_out, grad_out
 
     def check_drained(self):
@@ -348,93 +335,120 @@ def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
     return trace
 
 
+def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
+              dataset: Dataset) -> bool:
+    """Gather worker w's slot-u inputs, run the slot and send its outputs.
+
+    edges[(sender, receiver)] carries Messages between adjacent modules
+    through get() and put(); module 1 samples its input and module K its
+    target.  Returns False when an edge was shut down (get gave None)."""
+    k = w.k
+    target = None
+    if k == 1:
+        fwd_x, _ = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
+    else:
+        msg = edges[k - 1, k].get()
+        if msg is None:
+            return False
+        if msg.batch_index != u:
+            raise ProtocolError(
+                f"module {k} expected activation {u}, got {msg.batch_index}")
+        fwd_x = msg.payload
+    if k == w.K:
+        _, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
+    grad_msg = None
+    if k < w.K and u >= w.two_delta:
+        grad_msg = edges[k + 1, k].get()
+        if grad_msg is None:
+            return False
+    act_out, grad_out = w.process_slot(u, fwd_x, grad_msg, target)
+    if act_out is not None:
+        edges[k, k + 1].put(act_out)
+    if grad_out is not None:
+        edges[k, k - 1].put(grad_out)
+    return True
+
+
+def _edges(K: int, make) -> dict:
+    """make((sender, receiver)) for both directions of every module pair."""
+    return {e: make(e) for k in range(1, K)
+            for e in ((k, k + 1), (k + 1, k))}
+
+
+def _check_drained(workers, edges: dict):
+    for (a, b), edge in edges.items():
+        if len(edge):
+            raise ProtocolError(
+                f"edge {a}->{b} ended with {len(edge)} unread messages")
+    for w in workers:
+        w.check_drained()
+
+
+class _Fifo(list):
+    """In-process edge of run_clocked; reading it empty is a ProtocolError."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    put = list.append
+
+    def get(self):
+        if not self:
+            raise ProtocolError("missing message on edge %d->%d" % self.key)
+        return self.pop(0)
+
+
 def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Single-process reference execution of the pipeline clock."""
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     K, MS = cfg.K, cfg.total_batches
-    act_mail = {k: None for k in range(2, K + 1)}   # k receives from k-1
-    grad_mail = {k: None for k in range(1, K)}      # k receives from k+1
-    stop = False
+    edges = _edges(K, _Fifo)
     with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
         for tick in range(MS + 2 * (K - 1)):
-            next_act = dict.fromkeys(act_mail, None)
-            next_grad = dict.fromkeys(grad_mail, None)
             for w in workers:
                 u = tick - (w.k - 1)
-                if u < 0 or u >= MS:
-                    continue
-                fwd_x = target = None
-                if w.expects_forward(u):
-                    if w.k == 1:
-                        fwd_x, _ = sample_batch(dataset, cfg.batch_size,
-                                                cfg.sampler_seed, u)
-                    else:
-                        msg = act_mail[w.k]
-                        act_mail[w.k] = None
-                        if msg is None or msg.batch_index != u:
-                            raise ProtocolError(
-                                f"module {w.k} missing activation {u}")
-                        fwd_x = msg.payload
-                    if w.k == K:
-                        _, target = sample_batch(dataset, cfg.batch_size,
-                                                 cfg.sampler_seed, u)
-                grad_msg = None
-                if w.expects_gradient(u):
-                    grad_msg = grad_mail[w.k]
-                    grad_mail[w.k] = None
-                act_out, grad_out = w.process_slot(u, fwd_x, grad_msg, target)
-                if act_out is not None:
-                    next_act[w.k + 1] = act_out
-                if grad_out is not None:
-                    next_grad[w.k - 1] = grad_out
-                if w.diverged:
-                    stop = True
-            if stop:
+                if 0 <= u < MS:
+                    feed_slot(w, u, edges, cfg, dataset)
+            if any(w.diverged for w in workers):
                 break
-            for k, v in act_mail.items():
-                if v is not None:
-                    raise ProtocolError(f"unconsumed activation at module {k}")
-            for k, v in grad_mail.items():
-                if v is not None:
-                    raise ProtocolError(f"unconsumed gradient at module {k}")
-            act_mail, grad_mail = next_act, next_grad
-    if not stop:
-        for w in workers:
-            w.check_drained()
+        else:
+            _check_drained(workers, edges)
     return _assemble(cfg, workers, "adl-clocked", sw.elapsed)
 
 
 class _Edge:
     """Bounded FIFO between adjacent modules with stop-aware blocking."""
 
-    def __init__(self, capacity: int, stop: threading.Event,
+    def __init__(self, key, capacity: int, stop: threading.Event,
                  timeout: float):
+        self.key = key
         self.q = queue.Queue(maxsize=capacity)
         self.stop = stop
         self.timeout = timeout
 
-    def put(self, item):
+    def __len__(self):
+        return self.q.qsize()
+
+    def _wait(self, op, state: str):
+        """Retry op every 50 ms until it succeeds or stop is set (None)."""
         waited = 0.0
         while not self.stop.is_set():
             try:
-                self.q.put(item, timeout=0.05)
-                return
-            except queue.Full:
+                return op(timeout=0.05)
+            except (queue.Full, queue.Empty):
                 waited += 0.05
                 if waited >= self.timeout:
-                    raise ProtocolError("deadlock: queue full too long")
+                    raise ProtocolError("deadlock: edge %d->%d %s too long"
+                                        % (*self.key, state))
+        return None
+
+    def put(self, item):
+        self._wait(functools.partial(self.q.put, item), "full")
 
     def get(self):
-        waited = 0.0
-        while not self.stop.is_set():
-            try:
-                return self.q.get(timeout=0.05)
-            except queue.Empty:
-                waited += 0.05
-                if waited >= self.timeout:
-                    raise ProtocolError("deadlock: queue empty too long")
-        return None
+        return self._wait(self.q.get, "empty")
 
 
 def run_parallel(cfg: TrainConfig, dataset: Dataset,
@@ -447,48 +461,19 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     """
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    K, MS = cfg.K, cfg.total_batches
+    MS = cfg.total_batches
     stop = threading.Event()
-    capacity = max(2, 2 * K)
-    act_edges = {k: _Edge(capacity, stop, deadlock_timeout)
-                 for k in range(2, K + 1)}
-    grad_edges = {k: _Edge(capacity, stop, deadlock_timeout)
-                  for k in range(1, K)}
+    capacity = max(2, 2 * cfg.K)
+    edges = _edges(cfg.K, lambda e: _Edge(e, capacity, stop,
+                                          deadlock_timeout))
     errors = {}
 
     def drive(w: ModuleWorker):
         try:
             np.seterr(over="ignore", invalid="ignore")  # thread-local
             for u in range(MS):
-                if stop.is_set():
+                if stop.is_set() or not feed_slot(w, u, edges, cfg, dataset):
                     return
-                fwd_x = target = None
-                if w.expects_forward(u):
-                    if w.k == 1:
-                        fwd_x, _ = sample_batch(dataset, cfg.batch_size,
-                                                cfg.sampler_seed, u)
-                    else:
-                        msg = act_edges[w.k].get()
-                        if msg is None:
-                            return
-                        if msg.batch_index != u:
-                            raise ProtocolError(
-                                f"module {w.k} expected activation {u}, "
-                                f"got {msg.batch_index}")
-                        fwd_x = msg.payload
-                    if w.k == K:
-                        _, target = sample_batch(dataset, cfg.batch_size,
-                                                 cfg.sampler_seed, u)
-                grad_msg = None
-                if w.expects_gradient(u):
-                    grad_msg = grad_edges[w.k].get()
-                    if grad_msg is None:
-                        return
-                act_out, grad_out = w.process_slot(u, fwd_x, grad_msg, target)
-                if act_out is not None:
-                    act_edges[w.k + 1].put(act_out)
-                if grad_out is not None:
-                    grad_edges[w.k - 1].put(grad_out)
                 if w.diverged:
                     stop.set()
                     return
@@ -506,6 +491,5 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     if errors:
         raise errors[min(errors)]
     if not stop.is_set():
-        for w in workers:
-            w.check_drained()
+        _check_drained(workers, edges)
     return _assemble(cfg, workers, "adl-parallel", sw.elapsed)

@@ -100,7 +100,11 @@ def read_csv(path) -> RunTrace:
     for line in lines:
         if line.startswith("#"):
             key, _, val = line[1:].strip().partition("=")
-            meta[key] = int(val)
+            try:
+                meta[key] = int(val)
+            except ValueError:
+                raise ComparisonError(
+                    f"{path}: bad header line {line!r}") from None
         elif line:
             body.append(line)
     if not body or body[0] != ",".join(CSV_COLUMNS):
@@ -112,12 +116,16 @@ def read_csv(path) -> RunTrace:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ComparisonError(f"{path}: bad row {line!r}")
-        s, tick = int(parts[0]), int(parts[1])
-        if current is None or current.s != s:
-            current = UpdateRecord(s, tick, float(parts[2]), float(parts[3]), {})
-            trace.updates.append(current)
-        k, j, batch = int(parts[4]), int(parts[5]), int(parts[6])
-        version = int(parts[7]) if parts[7] != "" else None
+        try:
+            s, tick = int(parts[0]), int(parts[1])
+            if current is None or current.s != s:
+                current = UpdateRecord(s, tick, float(parts[2]),
+                                       float(parts[3]), {})
+                trace.updates.append(current)
+            k, j, batch = int(parts[4]), int(parts[5]), int(parts[6])
+            version = int(parts[7]) if parts[7] != "" else None
+        except ValueError:
+            raise ComparisonError(f"{path}: bad row {line!r}") from None
         current.slots.setdefault(k, []).append(Slot(j, batch, version))
     return trace
 

@@ -216,3 +216,16 @@ def test_compare_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result: FAIL" in out and "first_divergence: 0" in out
     assert main(["compare", ta, str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("old,new", [("# K=2", "# K=two"),
+                                     ("\n0,", "\nzero,")])
+def test_compare_malformed_trace_exit_2(tmp_path, capsys, old, new):
+    assert main(["run", str(write_cfg(tmp_path))]) == 0
+    good = tmp_path / "out" / "trace.csv"
+    bad = tmp_path / "bad.csv"
+    text = good.read_text()
+    assert old in text
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

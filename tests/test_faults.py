@@ -1,0 +1,92 @@
+"""Injected transport faults surface as ProtocolError and never hang.
+
+Each fault subclasses the edge class a runner builds (the in-process FIFO
+of run_clocked, the bounded queue of run_parallel) and drops, duplicates
+or reorders one message on one edge.
+"""
+import threading
+import time
+
+import pytest
+
+from adl import scheduler
+from adl.errors import ProtocolError
+
+
+def faulty(base, fault, target, nth=0):
+    """`base` with message `nth` sent on edge `target` dropped, sent
+    twice, or held back until after the next message."""
+
+    class Faulty(base):
+        def __init__(self, key, *args):
+            super().__init__(key, *args)
+            self.sent, self.held = 0, None
+
+        def put(self, msg):
+            hit = self.key == target and self.sent == nth
+            self.sent += 1
+            if hit and fault == "reorder":
+                self.held = msg
+                return
+            if not (hit and fault == "drop"):
+                super().put(msg)
+            if hit and fault == "duplicate":
+                super().put(msg)
+            if self.held is not None and not hit:
+                super().put(self.held)
+                self.held = None
+
+    return Faulty
+
+
+# K=2, M=2, S=6: edge (1, 2) carries activations 0..11, edge (2, 1)
+# gradients 0..9
+FAULTS = [
+    ("drop", (1, 2), 0, "expected activation 0, got 1"),
+    ("duplicate", (1, 2), 0, "expected activation 1, got 0"),
+    ("reorder", (1, 2), 0, "expected activation 0, got 1"),
+    ("drop", (2, 1), 0, "missing message on edge 2->1"),
+    ("duplicate", (2, 1), 0, "expected gradient for batch 1, got 0"),
+    ("reorder", (2, 1), 0, "missing message on edge 2->1"),
+    ("duplicate", (1, 2), 11, "edge 1->2 ended with 1 unread messages"),
+]
+# the last gradient: run_parallel can only notice it by timing out
+LOST_LAST = ("drop", (2, 1), 9, "missing message on edge 2->1")
+
+
+@pytest.mark.parametrize("fault,edge,nth,match", FAULTS + [LOST_LAST])
+def test_clocked_reports_transport_faults(fault, edge, nth, match,
+                                          spiral_case, monkeypatch):
+    cfg, ds = spiral_case(2, 2, S=6)
+    monkeypatch.setattr(scheduler, "_Fifo",
+                        faulty(scheduler._Fifo, fault, edge, nth))
+    with pytest.raises(ProtocolError, match=match):
+        scheduler.run_clocked(cfg, ds)
+
+
+@pytest.mark.parametrize("fault,edge,nth,match", FAULTS)
+def test_parallel_reports_transport_faults_without_hanging(
+        fault, edge, nth, match, spiral_case, monkeypatch):
+    cfg, ds = spiral_case(2, 2, S=6)
+    monkeypatch.setattr(scheduler, "_Edge",
+                        faulty(scheduler._Edge, fault, edge, nth))
+    threads = threading.active_count()
+    start = time.perf_counter()
+    with pytest.raises(ProtocolError):
+        scheduler.run_parallel(cfg, ds, deadlock_timeout=1.0)
+    assert time.perf_counter() - start < 1.0
+    assert threading.active_count() == threads
+
+
+
+def test_parallel_lost_last_message_trips_the_deadlock_timeout(
+        spiral_case, monkeypatch):
+    cfg, ds = spiral_case(2, 2, S=6)
+    monkeypatch.setattr(scheduler, "_Edge",
+                        faulty(scheduler._Edge, *LOST_LAST[:3]))
+    threads = threading.active_count()
+    start = time.perf_counter()
+    with pytest.raises(ProtocolError, match="deadlock: edge 2->1 empty"):
+        scheduler.run_parallel(cfg, ds, deadlock_timeout=0.3)
+    assert time.perf_counter() - start < 1.3
+    assert threading.active_count() == threads

@@ -1,4 +1,6 @@
 """Reference trainers and the central equivalence claims."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,17 @@ def test_equivalence_survives_momentum_decay_and_schedules(spiral_case):
 
 
 def test_k1_replay_reduces_to_sync(spiral_case):
-    cfg, ds = spiral_case(1, 2, S=10, record_params=True)
+    cfg, ds = spiral_case(1, 2, S=10, record_params=True, record_grads=True)
     assert_identical(delayed_replay(cfg, ds), sync_ga_sgd(cfg, ds))
+    # sync ignores the partition: on a K=3 config it is the K=1 replay
+    cfg3, _ = spiral_case(3, 2, S=10, record_params=True, record_grads=True)
+    sync, clocked = sync_ga_sgd(cfg3, ds), run_clocked(cfg, ds)
+    assert (sync.K, sync.mode) == (1, "sync-ga")
+    assert_identical(clocked, sync)
+    for ga, gb in zip(clocked.grads, sync.grads):
+        np.testing.assert_array_equal(ga, gb)
+    assert [r.slots for r in clocked.updates] == \
+        [r.slots for r in sync.updates]
 
 
 def test_replay_provenance_slots(spiral_case):
@@ -128,7 +139,26 @@ def test_compare_traces_reports_divergence(spiral_case):
 
 
 def test_divergence_in_oracles(spiral_case):
-    cfg, ds = spiral_case(1, 1, S=60, lr=2000.0)
-    for runner in (sync_ga_sgd, delayed_replay):
-        trace = runner(cfg, ds)
-        assert trace.diverged and trace.S < 60
+    # M=4 puts several offending batches in one group: both name the first
+    for M in (1, 4):
+        cfg, ds = spiral_case(1, M, S=60, lr=2000.0)
+        sync, replay = sync_ga_sgd(cfg, ds), delayed_replay(cfg, ds)
+        for trace in (sync, replay):
+            assert trace.diverged and trace.S < 60
+        assert sync.divergence_reason == replay.divergence_reason
+
+
+@pytest.mark.parametrize("runner", [sync_ga_sgd, delayed_replay])
+def test_oracle_snapshots_stay_within_the_window(runner, spiral_case):
+    # without record_params only the versions a later backward reads are
+    # kept, so four times the updates must not cost four times the memory
+    def peak(S):
+        cfg, ds = spiral_case(3, 2, S=S, hidden=64)
+        tracemalloc.start()
+        try:
+            runner(cfg, ds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 2 * peak(16)
