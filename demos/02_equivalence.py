@@ -4,11 +4,12 @@ The pipeline's semantics are pinned down by a deterministic clocked
 simulation (`run_clocked`).  Two independent re-implementations must
 reproduce it bit for bit:
 
-  * `delayed_replay` ignores the pipeline entirely: for every update it
-    looks up which batch and which parameter version each accumulation
-    slot is defined to use, recomputes those gradients from scratch,
-    and applies the update.  Agreement proves the scheduler delivers
-    exactly the delayed gradients it advertises.
+  * `delayed_replay` ignores the pipeline entirely: it recomputes each
+    batch's gradient from scratch, in one full pass on the parameter
+    version the batch is defined to use, adds each module's slice to
+    the update that accumulation slot is defined to feed, and applies
+    the updates.  Agreement proves the scheduler delivers exactly the
+    delayed gradients it advertises.
   * `run_parallel` executes the same schedule with one thread per
     module and bounded queues.  Agreement proves the concurrency is
     observationally pure.

@@ -22,7 +22,7 @@ parameter list that was live at that version.
 
 Both runners feed every slot through feed_slot, which reads a worker's
 inputs from and sends its outputs to FIFO edges keyed (sender, receiver).
-run_clocked executes the tick loop in-process over plain deques;
+run_clocked executes the tick loop in-process over plain lists;
 run_parallel runs one thread per module over bounded queues and produces
 a bit-identical trace (each worker performs the same float operations in
 the same order, only wall-clock interleaving differs).
@@ -58,20 +58,14 @@ def schedule_position(b: int, k: int, K: int):
     return b + (k - 1), b + 2 * K - k - 1
 
 
-def prune_snapshots(snapshots: dict, first_batch: int, M: int):
-    """Drop the parameter versions older than floor(first_batch / M), the
-    oldest version a backward of batch first_batch or later reads."""
-    needed = max(0, first_batch // M)
-    for v in [v for v in snapshots if v < needed]:
-        del snapshots[v]
-
-
 @dataclass(frozen=True)
 class Message:
-    """An activation sent up, or an input gradient sent down, one edge."""
+    """An activation sent up, or an input gradient sent down, one edge.
+    An activation carries its batch's target up to module K."""
 
     batch_index: int
     payload: np.ndarray
+    target: object = None
 
 
 @dataclass
@@ -231,8 +225,10 @@ class ModuleWorker:
         self.version += 1
         self.snapshots[self.version] = self.params
         if not self.cfg.record_params:
-            prune_snapshots(self.snapshots, u + 1 - self.two_delta,
-                            self.cfg.ga_steps)
+            # the oldest version a backward of a later slot reads
+            oldest = (u + 1 - self.two_delta) // self.cfg.ga_steps
+            for v in [v for v in self.snapshots if v < oldest]:
+                del self.snapshots[v]
         if self.events is not None:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
@@ -250,7 +246,7 @@ class ModuleWorker:
         act_out = grad_out = None
         y = self._forward(u, fwd_x, target)
         if self.k < self.K:
-            act_out = Message(u, y)
+            act_out = Message(u, y, target)
         t_b = u - self.two_delta
         if t_b >= 0:
             if self.k == self.K:
@@ -340,12 +336,13 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
     """Gather worker w's slot-u inputs, run the slot and send its outputs.
 
     edges[(sender, receiver)] carries Messages between adjacent modules
-    through get() and put(); module 1 samples its input and module K its
-    target.  Returns False when an edge was shut down (get gave None)."""
+    through get() and put(); module 1 samples batch u once, and its target
+    rides up to module K on the activations.  Returns False when an edge
+    was shut down (get gave None)."""
     k = w.k
-    target = None
     if k == 1:
-        fwd_x, _ = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
+        fwd_x, target = sample_batch(dataset, cfg.batch_size,
+                                     cfg.sampler_seed, u)
     else:
         msg = edges[k - 1, k].get()
         if msg is None:
@@ -353,9 +350,7 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
         if msg.batch_index != u:
             raise ProtocolError(
                 f"module {k} expected activation {u}, got {msg.batch_index}")
-        fwd_x = msg.payload
-    if k == w.K:
-        _, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
+        fwd_x, target = msg.payload, msg.target
     grad_msg = None
     if k < w.K and u >= w.two_delta:
         grad_msg = edges[k + 1, k].get()

@@ -2,11 +2,14 @@
 
 Each fault subclasses the edge class a runner builds (the in-process FIFO
 of run_clocked, the bounded queue of run_parallel) and drops, duplicates
-or reorders one message on one edge.
+or reorders one message on one edge.  A worker driven out of its schedule
+raises ProtocolError itself, and an error raised inside a worker thread
+reaches the caller of run_parallel.
 """
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from adl import scheduler
@@ -90,3 +93,51 @@ def test_parallel_lost_last_message_trips_the_deadlock_timeout(
         scheduler.run_parallel(cfg, ds, deadlock_timeout=0.3)
     assert time.perf_counter() - start < 1.3
     assert threading.active_count() == threads
+
+
+def test_worker_rejects_a_slot_ahead_of_its_version(spiral_case):
+    cfg, _ = spiral_case(2, 2, S=6)
+    w = scheduler.build_workers(cfg)[0]
+    x = np.zeros((cfg.batch_size, 2))
+    with pytest.raises(ProtocolError, match="version law broken: module 1"):
+        w.process_slot(cfg.ga_steps, x, None, None)
+
+
+def test_worker_rejects_a_stash_beyond_its_delay(spiral_case):
+    # module 1 of K=2 holds at most 2(K-k)+1 = 3 forwards awaiting backward
+    cfg, _ = spiral_case(2, 4, S=2)
+    w = scheduler.build_workers(cfg)[0]
+    x = np.zeros((cfg.batch_size, 2))
+    for u in range(w.two_delta + 1):
+        w._forward(u, x, None)
+    with pytest.raises(ProtocolError, match="stash occupancy 4 exceeds 3"):
+        w._forward(w.two_delta + 1, x, None)
+
+
+def test_parallel_reraises_a_worker_error_and_joins_every_thread(
+        spiral_case, monkeypatch):
+    cfg, ds = spiral_case(3, 2, S=6)
+    boom = RuntimeError("module 2 failed at slot 5")
+    process_slot = scheduler.ModuleWorker.process_slot
+
+    def failing(w, u, *args):
+        if (w.k, u) == (2, 5):
+            raise boom
+        return process_slot(w, u, *args)
+
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", failing)
+    monkeypatch.setattr(scheduler.threading, "Thread", Recorded)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        scheduler.run_parallel(cfg, ds, deadlock_timeout=1.0)
+    assert time.perf_counter() - start < 1.0
+    assert info.value is boom
+    assert len(started) == 3
+    assert not any(t.is_alive() for t in started)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adl import data, net
+from adl import data, net, oracle
 from adl.errors import ComparisonError
 from adl.optimizer import ConstantLr, Harmonic, SgdConfig
 from adl.oracle import delayed_replay, sync_ga_sgd
@@ -139,13 +139,36 @@ def test_compare_traces_reports_divergence(spiral_case):
 
 
 def test_divergence_in_oracles(spiral_case):
-    # M=4 puts several offending batches in one group: both name the first
+    # M=4 puts several offending batches in one group: all name the first;
+    # at K=3 the replay names the reason the pipeline names
     for M in (1, 4):
         cfg, ds = spiral_case(1, M, S=60, lr=2000.0)
         sync, replay = sync_ga_sgd(cfg, ds), delayed_replay(cfg, ds)
-        for trace in (sync, replay):
+        cfg3, _ = spiral_case(3, M, S=60, lr=2000.0)
+        replay3, clocked3 = delayed_replay(cfg3, ds), run_clocked(cfg3, ds)
+        for trace in (sync, replay, replay3, clocked3):
             assert trace.diverged and trace.S < 60
         assert sync.divergence_reason == replay.divergence_reason
+        assert replay3.divergence_reason == clocked3.divergence_reason
+
+
+def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):
+    # the gradient of batch t does not depend on the module that reads it
+    calls = {"sample_batch": [], "net_forward": 0}
+
+    def sample(dataset, size, seed, t):
+        calls["sample_batch"].append(t)
+        return data.sample_batch(dataset, size, seed, t)
+
+    def forward(*args):
+        calls["net_forward"] += 1
+        return net.net_forward(*args)
+
+    monkeypatch.setattr(oracle, "sample_batch", sample)
+    monkeypatch.setattr(oracle, "net_forward", forward)
+    cfg, ds = spiral_case(3, 2, S=6)
+    assert delayed_replay(cfg, ds).S == 6
+    assert calls == {"sample_batch": list(range(12)), "net_forward": 12}
 
 
 @pytest.mark.parametrize("runner", [sync_ga_sgd, delayed_replay])

@@ -9,7 +9,7 @@ from adl.partition import partition_even
 from adl.scheduler import TrainConfig, run_clocked, schedule_position
 from adl.staleness import effective_version, module_staleness
 from adl.trace import compare_traces
-from adl import data
+from adl import data, scheduler
 
 
 def earliest_ticks(K, max_batch):
@@ -111,10 +111,18 @@ def test_no_accumulation_constant_delay(ident_case):
                 assert sl.skipped
 
 
-def test_update_ticks_and_counts(ident_case):
+def test_update_ticks_and_counts(ident_case, monkeypatch):
     K, M, S = 3, 4, 5
     cfg, ds = ident_case(K, M, S)
+    drawn = []
+
+    def sample(dataset, size, seed, t):
+        drawn.append(t)
+        return data.sample_batch(dataset, size, seed, t)
+
+    monkeypatch.setattr(scheduler, "sample_batch", sample)
     trace = run_clocked(cfg, ds)
+    assert drawn == list(range(M * S))  # once per batch, by module 1
     assert trace.S == S
     assert [rec.tick for rec in trace.updates] == [
         M * (s + 1) + K - 2 for s in range(S)]
