@@ -38,9 +38,8 @@ def full_loss_and_acc(flat):
     states = [state_for(sp) for sp in SPECS]
     off = 0
     for st in states:
-        m = st.params.size
-        st.params[:] = flat[off:off + m]
-        off += m
+        st[:] = flat[off:off + st.size]
+        off += st.size
     loss, ctx = net_forward(SPECS, states, DATA.inputs, "softmax_ce",
                             DATA.targets)
     acc = float(np.mean(np.argmax(ctx.output, axis=1) == DATA.targets))

@@ -37,9 +37,9 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, batch_indices,
                    gen_linreg, gen_two_spirals, make_dataset, sample_batch)
 from .scheduler import TrainConfig, run_clocked, run_parallel, schedule_position
 from .oracle import delayed_replay, sync_ga_sgd
-from .trace import (CompareReport, RunTrace, Slot as TraceSlot, StopWatch,
-                    TickEvent, UpdateRecord, compare_traces,
-                    observed_averaged_los, read_csv, summary_text, write_csv)
+from .trace import (CompareReport, RunTrace, StopWatch, TickEvent,
+                    UpdateRecord, compare_traces, observed_averaged_los,
+                    read_csv, summary_text, write_csv)
 
 __version__ = "0.1.0"
 

@@ -1,19 +1,22 @@
 """Dense feedforward networks with explicit forward/backward passes.
 
 All tensors are float64 numpy arrays.  A network is a list of LayerSpec
-plus a parallel list of LayerState holding flat parameter vectors.
+plus a parallel list of flat parameter vectors, one per layer (empty
+for a parameterless layer); init_states wraps each in a LayerState.
 Affine parameters are packed weight-then-bias: W.ravel() (row-major,
 shape (out_dim, in_dim)) followed by the bias (out_dim,).
 
-Inputs may be a single sample of shape (in_dim,) or a batch of shape
-(batch, in_dim).  Loss values and loss gradients are means over the
-batch rows, so gradient sums over a batch carry a 1/batch factor.
+Inputs are batches of shape (batch, in_dim).  Loss values and loss
+gradients are means over the batch rows, so gradient sums over a batch
+carry a 1/batch factor.  A NetContext keeps the loss gradient of its
+forward pass, so the backward pass starts from it.
 
 Everything here is deterministic: fixed loop order, no reassociating
 reductions, so repeated evaluation of the same inputs is bit-identical.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,17 +71,12 @@ def identity(dim: int) -> LayerSpec:
     return LayerSpec(IDENTITY, dim, dim)
 
 
-@dataclass
-class LayerState:
-    """Flat float64 parameter vector for one layer (empty if parameterless)."""
-
-    params: np.ndarray
-
-    def copy(self) -> "LayerState":
-        return LayerState(self.params.copy())
+# Flat float64 parameter vector for one layer (empty if parameterless).
+LayerState = namedtuple("LayerState", "params")
 
 
-def state_for(spec: LayerSpec, params=None) -> LayerState:
+def state_for(spec: LayerSpec, params=None) -> np.ndarray:
+    """spec's flat parameter vector: zeros, or params checked and flattened."""
     if params is None:
         params = np.zeros(spec.param_count)
     params = np.asarray(params, dtype=np.float64).ravel()
@@ -86,10 +84,10 @@ def state_for(spec: LayerSpec, params=None) -> LayerState:
         raise DimensionError(
             f"{spec.kind} {spec.in_dim}->{spec.out_dim} needs "
             f"{spec.param_count} parameters, got {params.size}")
-    return LayerState(params)
+    return params
 
 
-def affine_state(spec: LayerSpec, weight, bias=None) -> LayerState:
+def affine_state(spec: LayerSpec, weight, bias=None) -> np.ndarray:
     """Pack an explicit weight matrix (out_dim, in_dim) and bias."""
     w = np.asarray(weight, dtype=np.float64).reshape(spec.out_dim, spec.in_dim)
     b = np.zeros(spec.out_dim) if bias is None else np.asarray(bias, dtype=np.float64)
@@ -112,25 +110,31 @@ def init_states(specs, seed: int, scale: float = 1.0) -> list:
     return states
 
 
-def _unpack_affine(spec: LayerSpec, state: LayerState):
+# the parameter gradient of every parameterless layer, shared
+_NO_GRAD = np.zeros(0)
+_NO_GRAD.flags.writeable = False
+
+
+def _unpack_affine(spec: LayerSpec, params: np.ndarray):
     nw = spec.out_dim * spec.in_dim
-    w = state.params[:nw].reshape(spec.out_dim, spec.in_dim)
-    b = state.params[nw:]
+    w = params[:nw].reshape(spec.out_dim, spec.in_dim)
+    b = params[nw:]
     return w, b
 
 
 def _check_input(spec: LayerSpec, x: np.ndarray):
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.in_dim:
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise DimensionError(
-            f"{spec.kind} expects last axis {spec.in_dim}, got shape {x.shape}")
+            f"{spec.kind} expects a batch of shape (batch, {spec.in_dim}), "
+            f"got shape {x.shape}")
 
 
-def layer_forward(spec: LayerSpec, state: LayerState, x: np.ndarray):
+def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
     """Return (output, intermediate).  The intermediate is whatever the
     backward pass needs so forward never has to be re-run."""
     _check_input(spec, x)
     if spec.kind == AFFINE:
-        w, b = _unpack_affine(spec, state)
+        w, b = _unpack_affine(spec, params)
         return x @ w.T + b, x
     if spec.kind == TANH:
         y = np.tanh(x)
@@ -140,57 +144,46 @@ def layer_forward(spec: LayerSpec, state: LayerState, x: np.ndarray):
     return x, x  # identity
 
 
-def layer_backward(spec: LayerSpec, state: LayerState, intermediate, gout):
+def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout):
     """Return (param_grad, input_grad) given the upstream gradient gout.
 
-    param_grad uses the same flat packing as LayerState.params.  The relu
-    derivative at exactly 0 is taken to be 0.
+    param_grad uses the same flat packing as params; a parameterless layer
+    returns a shared read-only empty array.  The relu derivative at
+    exactly 0 is taken to be 0.
     """
     if spec.kind == AFFINE:
-        w, _ = _unpack_affine(spec, state)
+        w, _ = _unpack_affine(spec, params)
         x = intermediate
-        if gout.ndim == 1:
-            gw = np.outer(gout, x)
-            gb = gout
-        else:
-            gw = gout.T @ x
-            gb = gout.sum(axis=0)
+        gw = gout.T @ x
+        gb = gout.sum(axis=0)
         gx = gout @ w
         return np.concatenate([gw.ravel(), gb.ravel()]), gx
     if spec.kind == TANH:
         y = intermediate
-        return np.zeros(0), gout * (1.0 - y * y)
+        return _NO_GRAD, gout * (1.0 - y * y)
     if spec.kind == RELU:
-        return np.zeros(0), gout * (intermediate > 0.0)
-    return np.zeros(0), gout  # identity
+        return _NO_GRAD, gout * (intermediate > 0.0)
+    return _NO_GRAD, gout  # identity
 
 
 def loss_and_grad(kind: str, pred: np.ndarray, target):
-    """Return (loss, dloss/dpred), both means over the batch rows."""
+    """Return (loss, dloss/dpred) of a (batch, out) prediction, both means
+    over the batch rows."""
+    if pred.ndim != 2:
+        raise DimensionError(
+            f"{kind} expects a (batch, out) prediction, got shape {pred.shape}")
+    batch = pred.shape[0]
     if kind == MSE:
         target = np.asarray(target, dtype=np.float64)
         if target.shape != pred.shape:
             raise DimensionError(
                 f"mse target shape {target.shape} != prediction {pred.shape}")
         r = pred - target
-        if pred.ndim == 1:
-            return float(np.dot(r, r)), 2.0 * r
-        batch = pred.shape[0]
         return float(np.sum(r * r) / batch), (2.0 / batch) * r
     if kind == SOFTMAX_CE:
         labels = np.asarray(target)
         if not np.issubdtype(labels.dtype, np.integer):
             raise DimensionError("softmax_ce expects integer class labels")
-        if pred.ndim == 1:
-            z = pred - pred.max()
-            lse = np.log(np.sum(np.exp(z)))
-            p = np.exp(z - lse)
-            label = int(labels)
-            loss = float(lse - z[label])
-            g = p.copy()
-            g[label] -= 1.0
-            return loss, g
-        batch = pred.shape[0]
         if labels.shape != (batch,):
             raise DimensionError("softmax_ce labels must be one per batch row")
         z = pred - pred.max(axis=1, keepdims=True)
@@ -203,40 +196,37 @@ def loss_and_grad(kind: str, pred: np.ndarray, target):
     raise DimensionError(f"unknown loss kind {kind!r}")
 
 
-@dataclass
-class NetContext:
-    """Everything a backward pass needs from one forward pass."""
-
-    intermediates: list
-    output: np.ndarray
+# Everything a backward pass needs from one forward pass, including the
+# loss gradient dpred it starts from.
+NetContext = namedtuple("NetContext", "intermediates output dpred")
 
 
-def net_forward(specs, states, x, loss_kind: str, target):
+def net_forward(specs, params, x, loss_kind: str, target):
     """Run the whole network forward; return (loss, NetContext)."""
     intermediates = []
     h = x
-    for spec, state in zip(specs, states):
-        h, inter = layer_forward(spec, state, h)
+    for spec, p in zip(specs, params):
+        h, inter = layer_forward(spec, p, h)
         intermediates.append(inter)
-    loss, _ = loss_and_grad(loss_kind, h, target)
-    return loss, NetContext(intermediates, h)
+    loss, dpred = loss_and_grad(loss_kind, h, target)
+    return loss, NetContext(intermediates, h, dpred)
 
 
-def net_backward(specs, states, ctx: NetContext, loss_kind: str, target):
-    """Backpropagate through the whole network.
+def net_backward(specs, params, ctx: NetContext):
+    """Backpropagate ctx.dpred through the whole network.
 
     Returns (param_grads, input_grad) where param_grads is one flat array
     per layer, in layer order.
     """
-    _, g = loss_and_grad(loss_kind, ctx.output, target)
+    g = ctx.dpred
     param_grads = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
-        param_grads[i], g = layer_backward(specs[i], states[i],
+        param_grads[i], g = layer_backward(specs[i], params[i],
                                            ctx.intermediates[i], g)
     return param_grads, g
 
 
-def finite_diff_grad(specs, states, x, loss_kind: str, target,
+def finite_diff_grad(specs, params, x, loss_kind: str, target,
                      step: float = 1e-6):
     """Central-difference gradient of the loss w.r.t. every parameter.
 
@@ -244,15 +234,15 @@ def finite_diff_grad(specs, states, x, loss_kind: str, target,
     evaluations, intended as a test oracle on small networks.
     """
     grads = []
-    for li, (spec, state) in enumerate(zip(specs, states)):
-        g = np.zeros_like(state.params)
-        for pi in range(state.params.size):
-            bumped = [s.copy() if i == li else s for i, s in enumerate(states)]
-            bumped[li].params[pi] += step
-            lo_states = [s.copy() if i == li else s for i, s in enumerate(states)]
-            lo_states[li].params[pi] -= step
-            f_hi, _ = net_forward(specs, bumped, x, loss_kind, target)
-            f_lo, _ = net_forward(specs, lo_states, x, loss_kind, target)
+    for li, p in enumerate(params):
+        g = np.zeros_like(p)
+        for pi in range(p.size):
+            hi, lo = list(params), list(params)
+            hi[li], lo[li] = p.copy(), p.copy()
+            hi[li][pi] += step
+            lo[li][pi] -= step
+            f_hi, _ = net_forward(specs, hi, x, loss_kind, target)
+            f_lo, _ = net_forward(specs, lo, x, loss_kind, target)
             g[pi] = (f_hi - f_lo) / (2.0 * step)
         grads.append(g)
     return grads

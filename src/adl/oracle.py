@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .net import LayerState, init_states, net_backward, net_forward
+from .net import init_states, net_backward, net_forward
 from .optimizer import (Accumulator, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
@@ -79,9 +79,8 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         """Batch t on the live version t // M; each module's slice goes to
         the update that reads it.  Returns the loss."""
         x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
-        states = [LayerState(p) for p in params]
-        loss, ctx = net_forward(cfg.layers, states, x, cfg.loss, y)
-        grads, _ = net_backward(cfg.layers, states, ctx, cfg.loss, y)
+        loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
+        grads, _ = net_backward(cfg.layers, params, ctx)
         for k in range(1, K + 1):
             u = (t + 2 * (K - k)) // M
             if u < S:

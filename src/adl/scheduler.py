@@ -32,14 +32,15 @@ from __future__ import annotations
 import functools
 import queue
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigError, ProtocolError
-from .net import (LOSS_KINDS, LayerState, init_states, layer_backward,
-                  layer_forward, loss_and_grad)
+from .net import (LOSS_KINDS, init_states, layer_backward, layer_forward,
+                  loss_and_grad)
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
@@ -58,33 +59,13 @@ def schedule_position(b: int, k: int, K: int):
     return b + (k - 1), b + 2 * K - k - 1
 
 
-@dataclass(frozen=True)
-class Message:
-    """An activation sent up, or an input gradient sent down, one edge.
-    An activation carries its batch's target up to module K."""
-
-    batch_index: int
-    payload: np.ndarray
-    target: object = None
-
-
-@dataclass
-class ForwardContext:
-    """State stashed at forward time for the matching delayed backward."""
-
-    batch_index: int
-    x: np.ndarray
-    intermediates: list
-    output: np.ndarray
-    param_version: int
-
-
-@dataclass
-class WorkerUpdate:
-    s: int
-    sumsq: float          # squared norm of this module's averaged gradient
-    slots: list           # provenance Slots, j = 0..M-1
-    avg_flat: np.ndarray = None
+# An activation sent up, or an input gradient sent down, one edge; an
+# activation carries its batch's target up to module K.
+Message = namedtuple("Message", "batch_index payload target",
+                     defaults=(None,))
+# One module's update s: the squared norm of its averaged gradient, its
+# provenance Slots j = 0..M-1 and, with record_grads, the flat gradient.
+WorkerUpdate = namedtuple("WorkerUpdate", "s sumsq slots avg_flat")
 
 
 @dataclass
@@ -151,13 +132,8 @@ class ModuleWorker:
         self.update_records = []
         self.loss_records = []  # module K only: (tick, loss) per update
         self.events = [] if cfg.trace_ticks else None
-        self.diverged = False
-        self.divergence_reason = None
+        self.divergence = None  # (tick, reason) of the slot that diverged
         self._pending = None  # (batch, loss, dpred) from this slot's forward
-
-    def emits_gradient_at(self, t_b: int) -> bool:
-        return (self.k > 1
-                and t_b < self.cfg.total_batches - self.two_delta - 2)
 
     def _forward(self, u: int, x: np.ndarray, target):
         if self.version != u // self.cfg.ga_steps:
@@ -167,17 +143,17 @@ class ModuleWorker:
         intermediates = []
         h = x
         for spec, p_flat in zip(self.specs, self.params):
-            h, inter = layer_forward(spec, LayerState(p_flat), h)
+            h, inter = layer_forward(spec, p_flat, h)
             intermediates.append(inter)
         if self.k == self.K:
             loss, dpred = loss_and_grad(self.cfg.loss, h, target)
             self._pending = (u, loss, dpred)
             if not np.isfinite(loss) or abs(loss) > self.cfg.divergence_limit:
-                self.diverged = True
-                self.divergence_reason = f"loss={loss!r} at batch {u}"
-        # stash only if a backward will consume it
+                self.divergence = (u + self.k - 1,
+                                   f"loss={loss!r} at batch {u}")
+        # stash what the delayed backward reads, if one will
         if u < self.cfg.total_batches - self.two_delta:
-            self.stash[u] = ForwardContext(u, x, intermediates, h, self.version)
+            self.stash[u] = (intermediates, self.version)
             if len(self.stash) > self.two_delta + 1:
                 raise ProtocolError(
                     f"stash occupancy {len(self.stash)} exceeds "
@@ -193,14 +169,14 @@ class ModuleWorker:
         if min(self.stash) != t_b:
             raise ProtocolError(
                 f"module {self.k} consumed batch {t_b} out of FIFO order")
-        ctx = self.stash.pop(t_b)
-        sparams = self.snapshots[ctx.param_version]
+        intermediates, version = self.stash.pop(t_b)
+        sparams = self.snapshots[version]
         grads = [None] * len(self.specs)
         g = gout
         for i in range(len(self.specs) - 1, -1, -1):
-            grads[i], g = layer_backward(self.specs[i], LayerState(sparams[i]),
-                                         ctx.intermediates[i], g)
-        self.acc.add(grads, t_b, ctx.param_version)
+            grads[i], g = layer_backward(self.specs[i], sparams[i],
+                                         intermediates[i], g)
+        self.acc.add(grads, t_b, version)
         if self.events is not None:
             tick = t_b + self.two_delta + self.k - 1
             self.events.append(TickEvent(tick, self.k, "backward", t_b))
@@ -233,16 +209,15 @@ class ModuleWorker:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
         if not np.isfinite(sumsq) or np.sqrt(sumsq) > self.cfg.divergence_limit:
-            self.diverged = True
-            self.divergence_reason = (
-                f"module {self.k} gradient norm {np.sqrt(sumsq)!r} "
-                f"at update {s + 1}")
+            self.divergence = (u + self.k - 1,
+                               f"module {self.k} gradient norm "
+                               f"{np.sqrt(sumsq)!r} at update {s + 1}")
 
     def process_slot(self, u: int, fwd_x, grad_msg, target):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
         u - 2*(K-k), update if u closes an accumulation group.  Returns
         the outgoing (activation, gradient) Messages, either may be None."""
-        M = self.cfg.ga_steps
+        M, MS = self.cfg.ga_steps, self.cfg.total_batches
         act_out = grad_out = None
         y = self._forward(u, fwd_x, target)
         if self.k < self.K:
@@ -261,7 +236,8 @@ class ModuleWorker:
                         f"{t_b}, got {grad_msg.batch_index}")
                 gout = grad_msg.payload
             g_in = self._backward(t_b, gout)
-            if self.emits_gradient_at(t_b):
+            # module k-1 reads it if it backpropagates t_b before it ends
+            if self.k > 1 and t_b < MS - self.two_delta - 2:
                 grad_out = Message(t_b, g_in)
         else:
             self.acc.add_skipped(t_b)
@@ -295,11 +271,17 @@ def _check_dataset(cfg: TrainConfig, dataset: Dataset):
 
 
 def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
+    """Build the trace.  The first tick a worker diverged at ends the run
+    (its lowest such module names the reason); later ticks are dropped."""
     done = min(len(w.update_records) for w in workers)
     top = workers[-1]
     updates = []
-    diverged = any(w.diverged for w in workers)
-    reason = next((w.divergence_reason for w in workers if w.diverged), None)
+    found = [w.divergence for w in workers if w.divergence]
+    diverged = bool(found)
+    stop, reason = min(found, key=lambda d: d[0]) if found else (None, None)
+    if diverged:
+        # module K's update s+1 closes at tick M(s+1) + K - 2
+        done = min(done, max(0, (stop - cfg.K + 2) // cfg.ga_steps))
     for s in range(done):
         recs = [w.update_records[s] for w in workers]
         tick, loss = top.loss_records[s]
@@ -325,7 +307,8 @@ def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
             for s in range(done)]
     if cfg.trace_ticks:
         order = {"forward": 0, "backward": 1, "update": 2}
-        evs = [e for w in workers for e in w.events]
+        evs = [e for w in workers for e in w.events
+               if stop is None or e.tick <= stop]
         trace.events = sorted(evs, key=lambda e: (e.tick, e.module,
                                                   order[e.kind]))
     return trace
@@ -406,7 +389,7 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                 u = tick - (w.k - 1)
                 if 0 <= u < MS:
                     feed_slot(w, u, edges, cfg, dataset)
-            if any(w.diverged for w in workers):
+            if any(w.divergence for w in workers):
                 break
         else:
             _check_drained(workers, edges)
@@ -414,7 +397,8 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
 
 class _Edge:
-    """Bounded FIFO between adjacent modules with stop-aware blocking."""
+    """Bounded FIFO between adjacent modules with stop-aware blocking.
+    Once shut, readers drain it and senders no longer wait for room."""
 
     def __init__(self, key, capacity: int, stop: threading.Event,
                  timeout: float):
@@ -422,17 +406,21 @@ class _Edge:
         self.q = queue.Queue(maxsize=capacity)
         self.stop = stop
         self.timeout = timeout
+        self.shut = False
 
     def __len__(self):
         return self.q.qsize()
 
     def _wait(self, op, state: str):
-        """Retry op every 50 ms until it succeeds or stop is set (None)."""
+        """Retry op every 50 ms; None once stop is set or a shut edge fails."""
         waited = 0.0
         while not self.stop.is_set():
+            shut = self.shut
             try:
-                return op(timeout=0.05)
+                return op(timeout=0.0 if shut else 0.05)
             except (queue.Full, queue.Empty):
+                if shut:
+                    return None
                 waited += 0.05
                 if waited >= self.timeout:
                     raise ProtocolError("deadlock: edge %d->%d %s too long"
@@ -452,29 +440,40 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
 
     Produces the same trace as run_clocked bit for bit: message order on
     every edge is fixed by batch index, and each worker executes the
-    identical operation sequence.
+    identical operation sequence.  A diverging worker lowers the stop
+    tick to its own; every worker runs its slots up to that tick, as the
+    clock does, and then shuts its edges.  An error stops all workers.
     """
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     MS = cfg.total_batches
     stop = threading.Event()
+    stop_tick = float("inf")
+    lowering = threading.Lock()
     capacity = max(2, 2 * cfg.K)
     edges = _edges(cfg.K, lambda e: _Edge(e, capacity, stop,
                                           deadlock_timeout))
     errors = {}
 
     def drive(w: ModuleWorker):
+        nonlocal stop_tick
         try:
             np.seterr(over="ignore", invalid="ignore")  # thread-local
             for u in range(MS):
-                if stop.is_set() or not feed_slot(w, u, edges, cfg, dataset):
-                    return
-                if w.diverged:
-                    stop.set()
-                    return
+                if stop.is_set() or u + w.k - 1 > stop_tick \
+                        or not feed_slot(w, u, edges, cfg, dataset):
+                    break
+                if w.divergence:
+                    with lowering:
+                        stop_tick = min(stop_tick, w.divergence[0])
+                    break
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
             errors[w.k] = exc
             stop.set()
+        if stop_tick < float("inf"):
+            for key, edge in edges.items():
+                if w.k in key:
+                    edge.shut = True
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]
@@ -485,6 +484,6 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
             t.join()
     if errors:
         raise errors[min(errors)]
-    if not stop.is_set():
+    if stop_tick == float("inf"):
         _check_drained(workers, edges)
     return _assemble(cfg, workers, "adl-parallel", sw.elapsed)

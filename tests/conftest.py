@@ -27,14 +27,15 @@ def _random_net(seed):
         if i < n_affine - 1:
             kind = (net.TANH, net.RELU, net.IDENTITY)[int(rng.integers(0, 3))]
             specs.append(net.LayerSpec(kind, dims[i + 1], dims[i + 1]))
-    states = net.init_states(specs, seed=seed + 1000, scale=1.2)
+    params = [s.params for s in
+              net.init_states(specs, seed=seed + 1000, scale=1.2)]
     batch = int(rng.integers(1, 5))
     x = rng.normal(size=(batch, dims[0]))
     if loss == net.MSE:
         target = rng.normal(size=(batch, dims[-1]))
     else:
         target = rng.integers(0, dims[-1], size=batch)
-    return specs, states, x, loss, target
+    return specs, params, x, loss, target
 
 
 @pytest.fixture

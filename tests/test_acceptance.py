@@ -51,9 +51,8 @@ def _load_flat(specs, flat):
     states = [state_for(sp) for sp in specs]
     off = 0
     for st in states:
-        m = st.params.size
-        st.params[:] = flat[off:off + m]
-        off += m
+        st[:] = flat[off:off + st.size]
+        off += st.size
     return states
 
 
@@ -168,7 +167,7 @@ def test_a07_gradients_match_finite_differences():
     for seed in range(20):
         specs, states, x, loss, target = _random_net(seed)
         _, ctx = net_forward(specs, states, x, loss, target)
-        analytic, _ = net_backward(specs, states, ctx, loss, target)
+        analytic, _ = net_backward(specs, states, ctx)
         numeric = finite_diff_grad(specs, states, x, loss, target,
                                    step=1e-5)
         worst = max(worst, rel_error(analytic, numeric))
@@ -203,7 +202,7 @@ def test_a08_quadratic_reaches_critical_point():
     assert not trace.diverged
     states = _load_flat(specs, trace.params[-1])
     _, ctx = net_forward(specs, states, ds.inputs, "mse", ds.targets)
-    grads, _ = net_backward(specs, states, ctx, "mse", ds.targets)
+    grads, _ = net_backward(specs, states, ctx)
     gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
     dt = time.perf_counter() - t0
     print(f"\n[a08] L={L:.6f}, full-data ||g|| after 5000 updates = "

@@ -1,4 +1,7 @@
 """Synthetic datasets and the counter-based batch sampler."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,44 @@ def test_batch_is_pure_function_of_seed_and_counter():
         later, data.batch_indices(7, 10 ** 6, n=50, batch_size=16))
 
 
+def _fresh_philox(seed, t, n, size):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, t], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).integers(
+        0, n, size=size)
+
+
+@pytest.mark.parametrize("seed", [0, 11, -3])
+def test_batch_indices_equal_a_fresh_philox_per_batch(seed):
+    for t in range(1000):
+        np.testing.assert_array_equal(data.batch_indices(seed, t, 50, 16),
+                                      _fresh_philox(seed, t, 50, 16))
+
+
+def test_batch_indices_are_pure_across_threads():
+    # threads drawing at once, switched often, must not share one
+    # generator's state
+    def draw(seed, out):
+        out.extend(data.batch_indices(seed, t, 97, 5) for t in range(1000))
+
+    results = {seed: [] for seed in range(1, 5)}
+    threads = [threading.Thread(target=draw, args=(s, results[s]))
+               for s in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for seed, got in results.items():
+        assert len(got) == 1000
+        for t, idx in enumerate(got):
+            np.testing.assert_array_equal(idx, _fresh_philox(seed, t, 97, 5))
+
+
 def test_batch_larger_than_dataset_allowed():
     idx = data.batch_indices(0, 0, n=3, batch_size=64)
     assert idx.shape == (64,)
@@ -121,9 +162,8 @@ def test_four_layer_tanh_net_masters_noiseless_spirals():
     states = [state_for(sp) for sp in specs]
     off = 0
     for st in states:
-        m = st.params.size
-        st.params[:] = trace.params[-1][off:off + m]
-        off += m
+        st[:] = trace.params[-1][off:off + st.size]
+        off += st.size
     _, ctx = net.net_forward(specs, states, ds.inputs, net.SOFTMAX_CE,
                              ds.targets)
     accuracy = float(np.mean(np.argmax(ctx.output, axis=1) == ds.targets))
@@ -139,13 +179,11 @@ def test_linear_fit_with_plain_sgd_reaches_noise_free_optimum():
     vel = None
     for t in range(400):
         x, y = data.sample_batch(ds, 32, sampler_seed=1, t=t)
-        _, ctx = net.net_forward([spec], [net.LayerState(params[0])], x,
-                                 net.MSE, y)
-        grads, _ = net.net_backward([spec], [net.LayerState(params[0])],
-                                    ctx, net.MSE, y)
+        _, ctx = net.net_forward([spec], params, x, net.MSE, y)
+        grads, _ = net.net_backward([spec], params, ctx)
         acc = Accumulator([spec.param_count], 1)
         acc.add(grads, t, t)
         params, vel, _ = ga_update(params, acc, 0.1, SgdConfig(), vel)
-    loss, _ = net.net_forward([spec], [net.LayerState(params[0])],
-                              ds.inputs, net.MSE, ds.targets)
+    loss, _ = net.net_forward([spec], params, ds.inputs, net.MSE,
+                              ds.targets)
     assert loss < 1e-6

@@ -9,54 +9,54 @@ from adl.errors import DimensionError
 def test_affine_forward_scalar():
     spec = net.affine(1, 1)
     state = net.affine_state(spec, [[2.0]])
-    y, _ = net.layer_forward(spec, state, np.array([3.0]))
-    np.testing.assert_array_equal(y, [6.0])
+    y, _ = net.layer_forward(spec, state, np.array([[3.0]]))
+    np.testing.assert_array_equal(y, [[6.0]])
 
 
 def test_relu_forward():
     spec = net.relu(2)
     y, _ = net.layer_forward(spec, net.state_for(spec),
-                             np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(y, [0.0, 2.0])
+                             np.array([[-1.0, 2.0]]))
+    np.testing.assert_array_equal(y, [[0.0, 2.0]])
 
 
 def test_affine_forward_dot_plus_bias():
     spec = net.affine(2, 1)
     state = net.affine_state(spec, [[1.0, 1.0]], [1.0])
-    y, _ = net.layer_forward(spec, state, np.array([2.0, 3.0]))
-    np.testing.assert_array_equal(y, [6.0])
+    y, _ = net.layer_forward(spec, state, np.array([[2.0, 3.0]]))
+    np.testing.assert_array_equal(y, [[6.0]])
 
 
 def test_affine_backward_example():
     # d(wx+b)/dw = x, d/db = 1, d/dx = w
     spec = net.affine(1, 1)
     state = net.affine_state(spec, [[2.0]])
-    _, inter = net.layer_forward(spec, state, np.array([3.0]))
-    pgrad, xgrad = net.layer_backward(spec, state, inter, np.array([1.0]))
+    _, inter = net.layer_forward(spec, state, np.array([[3.0]]))
+    pgrad, xgrad = net.layer_backward(spec, state, inter, np.array([[1.0]]))
     np.testing.assert_array_equal(pgrad, [3.0, 1.0])  # [dW, db]
-    np.testing.assert_array_equal(xgrad, [2.0])
+    np.testing.assert_array_equal(xgrad, [[2.0]])
 
 
 def test_relu_backward_dead_unit():
     spec = net.relu(1)
     state = net.state_for(spec)
-    _, inter = net.layer_forward(spec, state, np.array([-1.0]))
-    _, xgrad = net.layer_backward(spec, state, inter, np.array([5.0]))
-    np.testing.assert_array_equal(xgrad, [0.0])
+    _, inter = net.layer_forward(spec, state, np.array([[-1.0]]))
+    _, xgrad = net.layer_backward(spec, state, inter, np.array([[5.0]]))
+    np.testing.assert_array_equal(xgrad, [[0.0]])
 
 
 def test_relu_derivative_at_zero_is_zero():
     spec = net.relu(1)
     state = net.state_for(spec)
-    _, inter = net.layer_forward(spec, state, np.array([0.0]))
-    _, xgrad = net.layer_backward(spec, state, inter, np.array([7.0]))
-    np.testing.assert_array_equal(xgrad, [0.0])
+    _, inter = net.layer_forward(spec, state, np.array([[0.0]]))
+    _, xgrad = net.layer_backward(spec, state, inter, np.array([[7.0]]))
+    np.testing.assert_array_equal(xgrad, [[0.0]])
 
 
 def test_identity_net_zero_loss():
     specs = [net.identity(3)]
     states = [net.state_for(specs[0])]
-    x = np.array([0.5, -1.0, 2.0])
+    x = np.array([[0.5, -1.0, 2.0]])
     loss, _ = net.net_forward(specs, states, x, net.MSE, x)
     assert loss == 0.0
 
@@ -65,15 +65,15 @@ def test_mse_example_loss_four():
     # one affine layer w=1, b=0: prediction 1, target 3, loss (1-3)^2
     specs = [net.affine(1, 1)]
     states = [net.affine_state(specs[0], [[1.0]])]
-    loss, _ = net.net_forward(specs, states, np.array([1.0]), net.MSE,
-                              np.array([3.0]))
+    loss, _ = net.net_forward(specs, states, np.array([[1.0]]), net.MSE,
+                              np.array([[3.0]]))
     assert loss == 4.0
 
 
 @pytest.mark.parametrize("n_classes", [2, 5, 10])
 def test_softmax_uniform_logits(n_classes):
-    logits = np.zeros(n_classes)
-    loss, _ = net.loss_and_grad(net.SOFTMAX_CE, logits, 0)
+    logits = np.zeros((1, n_classes))
+    loss, _ = net.loss_and_grad(net.SOFTMAX_CE, logits, np.array([0]))
     assert loss == pytest.approx(np.log(n_classes), rel=1e-15)
     batch_logits = np.zeros((4, n_classes))
     labels = np.arange(4) % n_classes
@@ -86,10 +86,9 @@ def test_halved_objective_gradient():
     # (wx-y)*x = -2; our loss is the unhalved square, so scale by 1/2.
     specs = [net.affine(1, 1)]
     states = [net.affine_state(specs[0], [[1.0]])]
-    _, ctx = net.net_forward(specs, states, np.array([1.0]), net.MSE,
-                             np.array([3.0]))
-    grads, _ = net.net_backward(specs, states, ctx, net.MSE,
-                                np.array([3.0]))
+    _, ctx = net.net_forward(specs, states, np.array([[1.0]]), net.MSE,
+                             np.array([[3.0]]))
+    grads, _ = net.net_backward(specs, states, ctx)
     np.testing.assert_array_equal(0.5 * grads[0], [-2.0, -2.0])
 
 
@@ -100,7 +99,7 @@ def test_backward_linear_in_upstream(kind, alpha):
     # scaling the upstream gradient by a power of two scales both
     # outputs exactly
     spec = net.affine(3, 3) if kind == net.AFFINE else net.LayerSpec(kind, 3, 3)
-    state = net.init_states([spec], seed=5)[0]
+    state = net.init_states([spec], seed=5)[0].params
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 3))
     gout = rng.normal(size=(2, 3))
@@ -116,18 +115,18 @@ def test_net_backward_matches_finite_differences(seed, random_net,
                                                  grad_rel_error):
     specs, states, x, loss, target = random_net(seed)
     _, ctx = net.net_forward(specs, states, x, loss, target)
-    analytic, _ = net.net_backward(specs, states, ctx, loss, target)
+    analytic, _ = net.net_backward(specs, states, ctx)
     numeric = net.finite_diff_grad(specs, states, x, loss, target, step=1e-5)
     assert grad_rel_error(analytic, numeric) < 1e-6
 
 
 def test_input_gradient_matches_finite_differences():
     spec = net.affine(3, 2)
-    state = net.init_states([spec], seed=3)[0]
+    state = net.init_states([spec], seed=3)[0].params
     target = np.array([[0.3, -0.2]])
     x = np.array([[0.1, 0.5, -0.4]])
     _, ctx = net.net_forward([spec], [state], x, net.MSE, target)
-    _, xgrad = net.net_backward([spec], [state], ctx, net.MSE, target)
+    _, xgrad = net.net_backward([spec], [state], ctx)
     step = 1e-5
     numeric = np.zeros_like(x)
     for i in range(x.shape[1]):
@@ -144,13 +143,13 @@ def test_linear_net_analytic_gradient():
     # single affine + MSE has the closed form dW = (2/n) r^T X, db = (2/n) sum r
     rng = np.random.default_rng(11)
     spec = net.affine(4, 2)
-    state = net.init_states([spec], seed=12)[0]
+    state = net.init_states([spec], seed=12)[0].params
     x = rng.normal(size=(8, 4))
     target = rng.normal(size=(8, 2))
     _, ctx = net.net_forward([spec], [state], x, net.MSE, target)
-    grads, _ = net.net_backward([spec], [state], ctx, net.MSE, target)
-    w = state.params[:8].reshape(2, 4)
-    r = x @ w.T + state.params[8:] - target
+    grads, _ = net.net_backward([spec], [state], ctx)
+    w = state[:8].reshape(2, 4)
+    r = x @ w.T + state[8:] - target
     dw = (2.0 / 8) * (r.T @ x)
     db = (2.0 / 8) * r.sum(axis=0)
     np.testing.assert_allclose(grads[0],
@@ -170,15 +169,15 @@ def test_zero_residual_gives_zero_grads():
     state = net.affine_state(spec, np.eye(2))
     x = np.array([[1.0, -2.0], [0.5, 3.0]])
     _, ctx = net.net_forward([spec], [state], x, net.MSE, x)
-    grads, _ = net.net_backward([spec], [state], ctx, net.MSE, x)
+    grads, _ = net.net_backward([spec], [state], ctx)
     np.testing.assert_array_equal(grads[0], np.zeros(6))
 
 
 def test_finite_diff_on_parameterless_net():
     specs = [net.identity(2), net.relu(2)]
     states = [net.state_for(s) for s in specs]
-    grads = net.finite_diff_grad(specs, states, np.array([1.0, -1.0]),
-                                 net.MSE, np.array([0.0, 0.0]))
+    grads = net.finite_diff_grad(specs, states, np.array([[1.0, -1.0]]),
+                                 net.MSE, np.array([[0.0, 0.0]]))
     assert all(g.size == 0 for g in grads)
 
 
@@ -196,7 +195,7 @@ def test_dimension_validation():
     spec = net.affine(2, 3)
     state = net.state_for(spec)
     with pytest.raises(DimensionError):
-        net.layer_forward(spec, state, np.zeros(5))
+        net.layer_forward(spec, state, np.zeros((1, 5)))
     with pytest.raises(DimensionError):
         net.state_for(spec, np.zeros(4))
     with pytest.raises(DimensionError):
@@ -208,7 +207,27 @@ def test_dimension_validation():
         net.tanh(3) and net.LayerSpec(net.TANH, 3, 4)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+def test_layers_take_only_batches(shape):
+    # a single sample is a one-row batch; no other shape is accepted
+    for spec in (net.affine(2, 3), net.tanh(2), net.relu(2), net.identity(2)):
+        with pytest.raises(DimensionError, match="batch"):
+            net.layer_forward(spec, net.state_for(spec), np.zeros(shape))
+    with pytest.raises(DimensionError, match="batch"):
+        net.loss_and_grad(net.MSE, np.zeros(shape), np.zeros(shape))
+    with pytest.raises(DimensionError, match="batch"):
+        net.loss_and_grad(net.SOFTMAX_CE, np.zeros(shape), np.array([0]))
+
+
+def test_parameterless_layers_share_one_read_only_gradient():
+    x = np.array([[1.0, -2.0]])
+    grads = [net.layer_backward(spec, net.state_for(spec), x, x)[0]
+             for spec in (net.tanh(2), net.relu(2), net.identity(2))]
+    assert all(g is grads[0] and g.size == 0 for g in grads)
+    assert not grads[0].flags.writeable
+
+
 def test_affine_packing_order():
     spec = net.affine(2, 2)
     state = net.affine_state(spec, [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
-    np.testing.assert_array_equal(state.params, [1, 2, 3, 4, 5, 6])
+    np.testing.assert_array_equal(state, [1, 2, 3, 4, 5, 6])

@@ -91,11 +91,10 @@ def test_module1_gradient_is_two_steps_stale():
     for s in range(2, 8):
         t = s - 2
         flat = trace.params[t]
-        states = [net.LayerState(flat[offsets[i]:offsets[i + 1]])
-                  for i in range(4)]
+        params = [flat[offsets[i]:offsets[i + 1]] for i in range(4)]
         x, y = data.sample_batch(ds, 8, cfg.sampler_seed, t)
-        _, ctx = net.net_forward(specs, states, x, cfg.loss, y)
-        grads, _ = net.net_backward(specs, states, ctx, cfg.loss, y)
+        _, ctx = net.net_forward(specs, params, x, cfg.loss, y)
+        grads, _ = net.net_backward(specs, params, ctx)
         want = np.concatenate([g.ravel() for g in grads[:2]])
         np.testing.assert_array_equal(trace.grads[s][:n1], want)
 
@@ -169,6 +168,22 @@ def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):
     cfg, ds = spiral_case(3, 2, S=6)
     assert delayed_replay(cfg, ds).S == 6
     assert calls == {"sample_batch": list(range(12)), "net_forward": 12}
+
+
+@pytest.mark.parametrize("runner,K", [(sync_ga_sgd, 1), (delayed_replay, 3)])
+def test_oracles_evaluate_the_loss_once_per_batch(runner, K, spiral_case,
+                                                  monkeypatch):
+    # net_backward starts from the loss gradient net_forward kept
+    calls, loss_and_grad = [], net.loss_and_grad
+
+    def counted(*args):
+        calls.append(args[0])
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(net, "loss_and_grad", counted)
+    cfg, ds = spiral_case(K, 2, S=6)
+    assert runner(cfg, ds).S == 6
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("runner", [sync_ga_sgd, delayed_replay])

@@ -1,9 +1,13 @@
 """Thread-per-module execution must replay the clocked trace bit for bit."""
+import time
+
 import numpy as np
 import pytest
 
-from adl.optimizer import SgdConfig
-from adl.scheduler import run_clocked, run_parallel
+from adl import data, net, scheduler
+from adl.optimizer import ConstantLr, SgdConfig
+from adl.partition import partition_even
+from adl.scheduler import TrainConfig, run_clocked, run_parallel
 from adl.trace import compare_traces
 
 
@@ -43,7 +47,44 @@ def test_parallel_divergence_matches_clocked(spiral_case):
     b = run_parallel(cfg, ds)
     assert a.diverged and b.diverged
     assert a.S == b.S
+    assert a.divergence_reason == b.divergence_reason
     assert compare_traces(a, b, tol=0.0).passed
+
+
+@pytest.mark.parametrize("K,lr,limit,held", [(2, 50.0, 1e12, 2),
+                                             (3, 50.0, 1e12, 3),
+                                             (2, 0.3, 30.0, 1),
+                                             (3, 0.3, 30.0, 2)])
+def test_parallel_divergence_does_not_depend_on_thread_timing(
+        K, lr, limit, held, monkeypatch):
+    # the module whose norm stops the clock is held back after its
+    # diverging slot, so the others run past the stop tick: at lr 50
+    # module 1 diverges too, two updates later; at lr 0.3 module K closes
+    # updates the clock never reaches
+    specs = [net.affine(6, 12), net.relu(12), net.affine(12, 12),
+             net.identity(12), net.affine(12, 1)]
+    cfg = TrainConfig(specs, partition_even(len(specs), K), net.MSE, 1, 8, 7,
+                      ConstantLr(lr), SgdConfig(momentum=0.9), seed=5,
+                      trace_ticks=True, divergence_limit=limit)
+    ds = data.gen_linreg(96, 6, 0.1, seed=4)
+    clocked = run_clocked(cfg, ds)
+    assert clocked.diverged
+    assert clocked.divergence_reason.startswith(f"module {held} gradient norm")
+    feed = scheduler.feed_slot
+
+    def held_back(w, *args):
+        fresh = w.divergence is None
+        running = feed(w, *args)
+        if fresh and w.divergence and w.k == held:
+            time.sleep(0.05)
+        return running
+
+    monkeypatch.setattr(scheduler, "feed_slot", held_back)
+    parallel = run_parallel(cfg, ds)
+    assert parallel.divergence_reason == clocked.divergence_reason
+    assert parallel.S == clocked.S
+    assert compare_traces(clocked, parallel, tol=0.0).passed
+    assert parallel.events == clocked.events
 
 
 def test_parallel_wall_time_recorded(spiral_case):

@@ -196,9 +196,9 @@ def test_loss_matches_full_batch_reference(spiral_case):
         x, y = data.sample_batch(ds, cfg.batch_size, cfg.sampler_seed,
                                  t_close)
         flat = trace.params[rec.s]
-        states = [net.LayerState(flat[offsets[i]:offsets[i + 1]])
+        params = [flat[offsets[i]:offsets[i + 1]]
                   for i in range(len(cfg.layers))]
-        loss, _ = net.net_forward(cfg.layers, states, x, cfg.loss, y)
+        loss, _ = net.net_forward(cfg.layers, params, x, cfg.loss, y)
         assert loss == rec.loss  # bit-identical
 
 
