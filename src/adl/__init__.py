@@ -16,52 +16,19 @@ Entry points:
   case, plain synchronous gradient-accumulation SGD.
 * :mod:`adl.cli` -- ``adl run|staleness-table|bounds|compare``.
 """
-from .errors import (AdlError, ComparisonError, ConfigError, DimensionError,
-                     DomainError, ProtocolError)
-from .net import (AFFINE, IDENTITY, LOSS_KINDS, MSE, RELU, SOFTMAX_CE, TANH,
-                  LayerSpec, LayerState, NetContext, affine, finite_diff_grad,
-                  identity, init_states, layer_backward, layer_forward,
-                  loss_and_grad, net_backward, net_forward, relu, tanh)
-from .partition import (Partition, partition_by_cost, partition_by_params,
-                        partition_even)
-from .staleness import (BoundInputs, averaged_los, averaged_los_sum,
-                        effective_version, estimate_grad_bound,
-                        estimate_lipschitz, level_of_staleness,
-                        module_staleness, steady_staleness, theorem1_rhs,
-                        theorem2_rhs, theorem3_bound, theorem3_lr,
-                        theorem3_lr_ok)
-from .optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig, Slot,
-                        StepDecay, ga_update, global_grad_norm, grads_sumsq,
-                        lr_at, scaled_base_lr)
-from .data import (CLASSIFICATION, REGRESSION, Dataset, batch_indices,
-                   gen_linreg, gen_two_spirals, make_dataset, sample_batch)
-from .scheduler import TrainConfig, run_clocked, run_parallel, schedule_position
+from .data import gen_two_spirals, sample_batch
+from .net import affine, init_states, relu, tanh
+from .optimizer import ConstantLr, lr_at
 from .oracle import delayed_replay, sync_ga_sgd
-from .trace import (CompareReport, RunTrace, StopWatch, TickEvent,
-                    UpdateRecord, compare_traces, observed_averaged_los,
-                    read_csv, summary_text, write_csv)
+from .partition import partition_even
+from .scheduler import TrainConfig, run_clocked, run_parallel
+from .trace import compare_traces, read_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdlError", "ComparisonError", "ConfigError", "DimensionError",
-    "DomainError", "ProtocolError",
-    "AFFINE", "IDENTITY", "LOSS_KINDS", "MSE", "RELU", "SOFTMAX_CE", "TANH",
-    "LayerSpec", "LayerState", "NetContext", "affine", "finite_diff_grad",
-    "identity", "init_states", "layer_backward", "layer_forward",
-    "loss_and_grad", "net_backward", "net_forward", "relu", "tanh",
-    "Partition", "partition_by_cost", "partition_by_params", "partition_even",
-    "BoundInputs", "averaged_los", "averaged_los_sum", "effective_version",
-    "estimate_grad_bound", "estimate_lipschitz", "level_of_staleness",
-    "module_staleness", "steady_staleness", "theorem1_rhs", "theorem2_rhs",
-    "theorem3_bound", "theorem3_lr", "theorem3_lr_ok",
-    "Accumulator", "ConstantLr", "Harmonic", "SgdConfig", "Slot", "StepDecay",
-    "ga_update", "global_grad_norm", "grads_sumsq", "lr_at", "scaled_base_lr",
-    "CLASSIFICATION", "REGRESSION", "Dataset", "batch_indices", "gen_linreg",
-    "gen_two_spirals", "make_dataset", "sample_batch",
-    "TrainConfig", "run_clocked", "run_parallel", "schedule_position",
-    "delayed_replay", "sync_ga_sgd",
-    "CompareReport", "RunTrace", "StopWatch", "TickEvent", "UpdateRecord",
-    "compare_traces", "observed_averaged_los", "read_csv", "summary_text",
-    "write_csv",
+    "ConstantLr", "TrainConfig", "affine", "compare_traces", "delayed_replay",
+    "gen_two_spirals", "init_states", "lr_at", "partition_even", "read_csv",
+    "relu", "run_clocked", "run_parallel", "sample_batch", "sync_ga_sgd",
+    "tanh",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import net
-from .errors import AdlError, ComparisonError, ConfigError
+from .errors import AdlError, ConfigError
 from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
                         lr_at, scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
@@ -385,10 +385,7 @@ def main(argv=None) -> int:
             return cmd_bounds(args)
         if args.command == "compare":
             return cmd_compare(args)
-    except (ConfigError, ComparisonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AdlError as exc:
+    except (AdlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

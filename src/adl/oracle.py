@@ -11,10 +11,16 @@ version (which is floor(t / M) by construction) and adds module k's
 slice to module k's accumulator for update floor((t + 2*(K-k)) / M).  At
 the end of each group of M batches all modules step simultaneously.
 Because the counter-based sampler lets any batch be rematerialized
-exactly and ga_update is shared, a healthy run_clocked trace must match
-the replay bit for bit -- that equality is the core correctness claim
-for the delayed-gradient bookkeeping.  The replay is an oracle, not a
+exactly and ga_update is shared, a run_clocked trace must match the
+replay bit for bit -- that equality is the core correctness claim for
+the delayed-gradient bookkeeping.  The replay is an oracle, not a
 training path.
+
+Divergence follows the pipeline's rule: after each group the replay
+hands the update's records to scheduler.divergence_reason and ends the
+trace at the first offending update.  The pipeline runners execute all
+S updates and cut their traces at the same update, so every runner
+names the same reason and S.
 
 sync_ga_sgd is the replay's K = 1 case: one module over the whole
 network has no delay, so update s+1 is M ordinary forward/backward
@@ -32,7 +38,8 @@ from .net import init_states, net_backward, net_forward
 from .optimizer import (Accumulator, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
-from .scheduler import TrainConfig, _check_dataset
+from .scheduler import (TrainConfig, _check_dataset, divergence_reason,
+                        offends)
 from .trace import RunTrace, StopWatch, UpdateRecord
 
 __all__ = ["sync_ga_sgd", "delayed_replay"]
@@ -61,7 +68,6 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     params = [st.params for st in states0]  # the live version, full network
     versions = [params] if cfg.record_params else None
     updates, grads_hist = [], []
-    diverged = False
     reason = None
 
     def acc_for(k, u):
@@ -102,37 +108,28 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
     with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
         for s in range(S):
-            loss_reason = None
+            bad_loss = None
             for t in range(M * s, M * (s + 1)):
                 loss = replay(t)
-                if not np.isfinite(loss) or abs(loss) > cfg.divergence_limit:
-                    loss_reason = loss_reason or f"loss={loss!r} at batch {t}"
+                if bad_loss is None and offends(loss, cfg.divergence_limit):
+                    bad_loss = (t, loss)
             sumsqs, slot_map, avg_flats = [], {}, []
             for k in range(1, K + 1):
-                if k == K and loss_reason:
-                    diverged = True
-                    reason = reason or loss_reason
                 slot_map[k], sumsq, flat = close(k, s)
                 sumsqs.append(sumsq)
                 avg_flats.append(flat)
-                if not np.isfinite(sumsq) or \
-                        np.sqrt(sumsq) > cfg.divergence_limit:
-                    diverged = True
-                    reason = reason or (f"module {k} gradient norm "
-                                        f"{np.sqrt(sumsq)!r} at update {s + 1}")
             params = [p for k in range(1, K + 1) for p in module_params[k]]
             if cfg.record_params:
                 versions.append(params)
-            norm = global_grad_norm(sumsqs)
-            updates.append(UpdateRecord(s, M * (s + 1) + K - 2, loss, norm,
-                                        slot_map))
+            updates.append(UpdateRecord(s, M * (s + 1) + K - 2, loss,
+                                        global_grad_norm(sumsqs), slot_map))
             if cfg.record_grads:
                 grads_hist.append(np.concatenate(avg_flats))
-            if not np.isfinite(norm) or norm > cfg.divergence_limit:
-                diverged = True
-                reason = reason or f"gradient norm {norm!r} at update {s + 1}"
-            if diverged:
+            reason = divergence_reason(s, bad_loss, sumsqs,
+                                       cfg.divergence_limit)
+            if reason:
                 break
+    diverged = reason is not None
     trace = RunTrace("delayed-replay", K, M, updates, diverged=diverged,
                      divergence_reason=reason, wall_time=sw.elapsed)
     if cfg.record_params and not diverged:

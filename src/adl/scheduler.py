@@ -26,10 +26,16 @@ run_clocked executes the tick loop in-process over plain lists;
 run_parallel runs one thread per module over bounded queues and produces
 a bit-identical trace (each worker performs the same float operations in
 the same order, only wall-clock interleaving differs).
+
+Divergence is judged after the run, from the update records alone: a
+run executes all S updates, divergence_reason names the first update
+that offends, and the trace ends there.  The oracles apply the same rule
+to the same records, so every runner names the same reason and S.
 """
 from __future__ import annotations
 
 import functools
+import math
 import queue
 import threading
 from collections import namedtuple
@@ -63,9 +69,38 @@ def schedule_position(b: int, k: int, K: int):
 # activation carries its batch's target up to module K.
 Message = namedtuple("Message", "batch_index payload target",
                      defaults=(None,))
-# One module's update s: the squared norm of its averaged gradient, its
+# One module's update: the squared norm of its averaged gradient, its
 # provenance Slots j = 0..M-1 and, with record_grads, the flat gradient.
-WorkerUpdate = namedtuple("WorkerUpdate", "s sumsq slots avg_flat")
+# Module K adds the loss of the group-closing batch and the group's first
+# offending (batch, loss), or None.
+WorkerUpdate = namedtuple("WorkerUpdate", "sumsq slots avg_flat loss bad_loss",
+                          defaults=(None, None))
+
+
+def offends(x: float, limit: float) -> bool:
+    """A loss or gradient norm that is not finite or exceeds the limit."""
+    return not math.isfinite(x) or abs(x) > limit
+
+
+def divergence_reason(s: int, bad_loss, sumsqs, limit: float):
+    """Why update s+1 diverged, or None if it did not.
+
+    sumsqs are the K modules' squared gradient norms of the update and
+    bad_loss module K's first offending (batch, loss) of the group, or
+    None.  The first offender in this order names the reason: modules
+    1..K-1 by norm, module K's loss, module K's norm, the whole-network
+    norm."""
+    for k, sumsq in enumerate(sumsqs, 1):
+        if k == len(sumsqs) and bad_loss is not None:
+            batch, loss = bad_loss
+            return f"loss={loss!r} at batch {batch}"
+        norm = math.sqrt(sumsq)
+        if offends(norm, limit):
+            return f"module {k} gradient norm {norm!r} at update {s + 1}"
+    norm = global_grad_norm(sumsqs)
+    if offends(norm, limit):
+        return f"global gradient norm {norm!r} at update {s + 1}"
+    return None
 
 
 @dataclass
@@ -130,10 +165,9 @@ class ModuleWorker:
         self.stash = {}
         self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
         self.update_records = []
-        self.loss_records = []  # module K only: (tick, loss) per update
         self.events = [] if cfg.trace_ticks else None
-        self.divergence = None  # (tick, reason) of the slot that diverged
         self._pending = None  # (batch, loss, dpred) from this slot's forward
+        self._bad_loss = None  # module K: first offending (batch, loss)
 
     def _forward(self, u: int, x: np.ndarray, target):
         if self.version != u // self.cfg.ga_steps:
@@ -148,9 +182,9 @@ class ModuleWorker:
         if self.k == self.K:
             loss, dpred = loss_and_grad(self.cfg.loss, h, target)
             self._pending = (u, loss, dpred)
-            if not np.isfinite(loss) or abs(loss) > self.cfg.divergence_limit:
-                self.divergence = (u + self.k - 1,
-                                   f"loss={loss!r} at batch {u}")
+            if self._bad_loss is None and \
+                    offends(loss, self.cfg.divergence_limit):
+                self._bad_loss = (u, loss)
         # stash what the delayed backward reads, if one will
         if u < self.cfg.total_batches - self.two_delta:
             self.stash[u] = (intermediates, self.version)
@@ -192,12 +226,13 @@ class ModuleWorker:
         sumsq = grads_sumsq(avg)
         avg_flat = np.concatenate([a.ravel() for a in avg]) \
             if self.cfg.record_grads else None
-        self.update_records.append(WorkerUpdate(s, sumsq, slots, avg_flat))
         if self.k == self.K:
-            batch, loss, _ = self._pending
-            if batch != u:
-                raise ProtocolError("loss/update pairing broken")
-            self.loss_records.append((u + self.k - 1, loss))
+            rec = WorkerUpdate(sumsq, slots, avg_flat, self._pending[1],
+                               self._bad_loss)
+            self._bad_loss = None
+        else:
+            rec = WorkerUpdate(sumsq, slots, avg_flat)
+        self.update_records.append(rec)
         self.version += 1
         self.snapshots[self.version] = self.params
         if not self.cfg.record_params:
@@ -208,10 +243,6 @@ class ModuleWorker:
         if self.events is not None:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
-        if not np.isfinite(sumsq) or np.sqrt(sumsq) > self.cfg.divergence_limit:
-            self.divergence = (u + self.k - 1,
-                               f"module {self.k} gradient norm "
-                               f"{np.sqrt(sumsq)!r} at update {s + 1}")
 
     def process_slot(self, u: int, fwd_x, grad_msg, target):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
@@ -271,44 +302,36 @@ def _check_dataset(cfg: TrainConfig, dataset: Dataset):
 
 
 def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
-    """Build the trace.  The first tick a worker diverged at ends the run
-    (its lowest such module names the reason); later ticks are dropped."""
-    done = min(len(w.update_records) for w in workers)
-    top = workers[-1]
-    updates = []
-    found = [w.divergence for w in workers if w.divergence]
-    diverged = bool(found)
-    stop, reason = min(found, key=lambda d: d[0]) if found else (None, None)
-    if diverged:
-        # module K's update s+1 closes at tick M(s+1) + K - 2
-        done = min(done, max(0, (stop - cfg.K + 2) // cfg.ga_steps))
-    for s in range(done):
-        recs = [w.update_records[s] for w in workers]
-        tick, loss = top.loss_records[s]
-        norm = global_grad_norm([r.sumsq for r in recs])
+    """Build the trace.  The first update divergence_reason names ends it;
+    events after module K closed that update are dropped."""
+    K, M = cfg.K, cfg.ga_steps
+    updates, reason = [], None
+    for s, recs in enumerate(zip(*(w.update_records for w in workers))):
+        top = recs[-1]
+        sumsqs = [r.sumsq for r in recs]
         updates.append(UpdateRecord(
-            s, tick, loss, norm, {w.k: r.slots for w, r in zip(workers, recs)}))
-        if norm > cfg.divergence_limit or not np.isfinite(norm):
-            diverged = True
-            reason = reason or f"global gradient norm {norm!r} at update {s + 1}"
-            updates = updates[: s + 1]
+            s, M * (s + 1) + K - 2, top.loss, global_grad_norm(sumsqs),
+            {w.k: r.slots for w, r in zip(workers, recs)}))
+        reason = divergence_reason(s, top.bad_loss, sumsqs,
+                                   cfg.divergence_limit)
+        if reason:
             break
-    trace = RunTrace(mode, cfg.K, cfg.ga_steps, updates,
-                     diverged=diverged, divergence_reason=reason,
-                     wall_time=wall)
+    diverged = reason is not None
+    trace = RunTrace(mode, K, M, updates, diverged=diverged,
+                     divergence_reason=reason, wall_time=wall)
     if cfg.record_params and not diverged:
         trace.params = [
             np.concatenate([p.ravel() for w in workers
                             for p in w.snapshots[v]] or [np.zeros(0)])
-            for v in range(done + 1)]
+            for v in range(len(updates) + 1)]
     if cfg.record_grads and not diverged:
         trace.grads = [
             np.concatenate([w.update_records[s].avg_flat for w in workers])
-            for s in range(done)]
+            for s in range(len(updates))]
     if cfg.trace_ticks:
+        last = updates[-1].tick if diverged else math.inf
         order = {"forward": 0, "backward": 1, "update": 2}
-        evs = [e for w in workers for e in w.events
-               if stop is None or e.tick <= stop]
+        evs = [e for w in workers for e in w.events if e.tick <= last]
         trace.events = sorted(evs, key=lambda e: (e.tick, e.module,
                                                   order[e.kind]))
     return trace
@@ -320,8 +343,8 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
 
     edges[(sender, receiver)] carries Messages between adjacent modules
     through get() and put(); module 1 samples batch u once, and its target
-    rides up to module K on the activations.  Returns False when an edge
-    was shut down (get gave None)."""
+    rides up to module K on the activations.  Returns False when a
+    stopped edge gave None."""
     k = w.k
     if k == 1:
         fwd_x, target = sample_batch(dataset, cfg.batch_size,
@@ -389,16 +412,12 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                 u = tick - (w.k - 1)
                 if 0 <= u < MS:
                     feed_slot(w, u, edges, cfg, dataset)
-            if any(w.divergence for w in workers):
-                break
-        else:
-            _check_drained(workers, edges)
+    _check_drained(workers, edges)
     return _assemble(cfg, workers, "adl-clocked", sw.elapsed)
 
 
 class _Edge:
-    """Bounded FIFO between adjacent modules with stop-aware blocking.
-    Once shut, readers drain it and senders no longer wait for room."""
+    """Bounded FIFO between adjacent modules with stop-aware blocking."""
 
     def __init__(self, key, capacity: int, stop: threading.Event,
                  timeout: float):
@@ -406,21 +425,17 @@ class _Edge:
         self.q = queue.Queue(maxsize=capacity)
         self.stop = stop
         self.timeout = timeout
-        self.shut = False
 
     def __len__(self):
         return self.q.qsize()
 
     def _wait(self, op, state: str):
-        """Retry op every 50 ms; None once stop is set or a shut edge fails."""
+        """Retry op every 50 ms; None once stop is set."""
         waited = 0.0
         while not self.stop.is_set():
-            shut = self.shut
             try:
-                return op(timeout=0.0 if shut else 0.05)
+                return op(timeout=0.05)
             except (queue.Full, queue.Empty):
-                if shut:
-                    return None
                 waited += 0.05
                 if waited >= self.timeout:
                     raise ProtocolError("deadlock: edge %d->%d %s too long"
@@ -440,40 +455,28 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
 
     Produces the same trace as run_clocked bit for bit: message order on
     every edge is fixed by batch index, and each worker executes the
-    identical operation sequence.  A diverging worker lowers the stop
-    tick to its own; every worker runs its slots up to that tick, as the
-    clock does, and then shuts its edges.  An error stops all workers.
+    identical operation sequence.  Every worker runs all its slots, so a
+    run executes all S updates and the trace ends at the first offending
+    update whatever the thread timing.  An error stops all workers.
     """
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     MS = cfg.total_batches
     stop = threading.Event()
-    stop_tick = float("inf")
-    lowering = threading.Lock()
     capacity = max(2, 2 * cfg.K)
     edges = _edges(cfg.K, lambda e: _Edge(e, capacity, stop,
                                           deadlock_timeout))
     errors = {}
 
     def drive(w: ModuleWorker):
-        nonlocal stop_tick
         try:
             np.seterr(over="ignore", invalid="ignore")  # thread-local
             for u in range(MS):
-                if stop.is_set() or u + w.k - 1 > stop_tick \
-                        or not feed_slot(w, u, edges, cfg, dataset):
-                    break
-                if w.divergence:
-                    with lowering:
-                        stop_tick = min(stop_tick, w.divergence[0])
+                if stop.is_set() or not feed_slot(w, u, edges, cfg, dataset):
                     break
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
             errors[w.k] = exc
             stop.set()
-        if stop_tick < float("inf"):
-            for key, edge in edges.items():
-                if w.k in key:
-                    edge.shut = True
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]
@@ -484,6 +487,5 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
             t.join()
     if errors:
         raise errors[min(errors)]
-    if stop_tick == float("inf"):
-        _check_drained(workers, edges)
+    _check_drained(workers, edges)
     return _assemble(cfg, workers, "adl-parallel", sw.elapsed)

@@ -198,12 +198,33 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
+def _gap(x: float, y: float) -> float:
+    """|x - y|, but 0 for equal values (infinities too) or two NaNs and
+    inf for a NaN against anything else."""
+    if x == y or (x != x and y != y):
+        return 0.0
+    d = abs(x - y)
+    return d if d == d else math.inf
+
+
+def _array_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest _gap over two equal-shape arrays (0 when empty)."""
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    if same.all():
+        return 0.0
+    with np.errstate(invalid="ignore"):
+        d = np.abs(x[~same] - y[~same])
+    return float(np.max(np.where(np.isnan(d), np.inf, d)))
+
+
 def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
     """Per-update comparison of two traces.
 
     Losses and gradient norms are always compared; full parameter
-    vectors are compared when both traces recorded them.  Provenance
-    (module, slot, batch, version) must match exactly for a pass.
+    vectors are compared when both traces recorded them.  Two values are
+    equal when they are equal or both NaN; any other NaN difference
+    exceeds every tolerance.  Provenance (module, slot, batch, version)
+    must match exactly for a pass.
     """
     if a.S != b.S:
         raise ComparisonError(f"update ranges differ: {a.S} vs {b.S}")
@@ -225,8 +246,8 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
             raise ComparisonError("parameter histories differ in length")
         max_param = 0.0
     for i, (ra, rb) in enumerate(zip(a.updates, b.updates)):
-        dl = abs(ra.loss - rb.loss)
-        dn = abs(ra.grad_norm - rb.grad_norm)
+        dl = _gap(ra.loss, rb.loss)
+        dn = _gap(ra.grad_norm, rb.grad_norm)
         max_loss = max(max_loss, dl)
         max_norm = max(max_norm, dn)
         bad = dl > tol or dn > tol or ra.tick != rb.tick
@@ -234,8 +255,7 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
             provenance_equal = False
             bad = True
         if have_params:
-            dp = float(np.max(np.abs(a.params[i + 1] - b.params[i + 1]))) \
-                if a.params[i + 1].size else 0.0
+            dp = _array_gap(a.params[i + 1], b.params[i + 1])
             max_param = max(max_param, dp)
             bad = bad or dp > tol
         if bad:

@@ -1,4 +1,5 @@
 """Reference trainers and the central equivalence claims."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from adl.errors import ComparisonError
 from adl.optimizer import ConstantLr, Harmonic, SgdConfig
 from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.partition import partition_even
-from adl.scheduler import TrainConfig, run_clocked
+from adl.scheduler import TrainConfig, run_clocked, run_parallel
 from adl.trace import compare_traces
 
 
@@ -137,18 +138,32 @@ def test_compare_traces_reports_divergence(spiral_case):
         compare_traces(a, b, 0.0)
 
 
+# spiral case, S=60: K, M, lr, divergence limit
+DIVERGENCE_GRID = list(itertools.product(
+    (2, 3), (1, 4), (2.0, 10.0, 50.0, 2000.0), (1e12, 1e3, 20.0, 5.0, 2.0)))
+
+
 def test_divergence_in_oracles(spiral_case):
-    # M=4 puts several offending batches in one group: all name the first;
-    # at K=3 the replay names the reason the pipeline names
-    for M in (1, 4):
-        cfg, ds = spiral_case(1, M, S=60, lr=2000.0)
-        sync, replay = sync_ga_sgd(cfg, ds), delayed_replay(cfg, ds)
-        cfg3, _ = spiral_case(3, M, S=60, lr=2000.0)
-        replay3, clocked3 = delayed_replay(cfg3, ds), run_clocked(cfg3, ds)
-        for trace in (sync, replay, replay3, clocked3):
-            assert trace.diverged and trace.S < 60
-        assert sync.divergence_reason == replay.divergence_reason
-        assert replay3.divergence_reason == clocked3.divergence_reason
+    # every runner judges the same update records by one rule, so all name
+    # the same reason and S and keep the same records; sync is the K=1
+    # replay.  Every fourth config of the grid covers each value of each
+    # axis and reasons by loss, by module 1..K norms and no divergence.
+    kinds = set()
+    for K, M, lr, limit in DIVERGENCE_GRID[1::4]:
+        cfg, ds = spiral_case(K, M, S=60, lr=lr, divergence_limit=limit)
+        cfg1, _ = spiral_case(1, M, S=60, lr=lr, divergence_limit=limit)
+        for runs in ([run_clocked(cfg, ds), run_parallel(cfg, ds),
+                      delayed_replay(cfg, ds)],
+                     [sync_ga_sgd(cfg1, ds), delayed_replay(cfg1, ds),
+                      run_clocked(cfg1, ds)]):
+            first, reason = runs[0], str(runs[0].divergence_reason)
+            assert "np.float64" not in reason
+            for trace in runs[1:]:
+                assert trace.divergence_reason == first.divergence_reason
+                assert trace.S == first.S
+                assert compare_traces(first, trace, tol=0.0).passed
+            kinds.add(reason.split(" ")[0].split("=")[0])
+    assert kinds == {"None", "loss", "module"}
 
 
 def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):

@@ -57,10 +57,10 @@ def test_parallel_divergence_matches_clocked(spiral_case):
                                              (3, 0.3, 30.0, 2)])
 def test_parallel_divergence_does_not_depend_on_thread_timing(
         K, lr, limit, held, monkeypatch):
-    # the module whose norm stops the clock is held back after its
-    # diverging slot, so the others run past the stop tick: at lr 50
-    # module 1 diverges too, two updates later; at lr 0.3 module K closes
-    # updates the clock never reaches
+    # the module whose record names the reason (module K by its loss) is
+    # held back after its slot in the diverging update, so the others run
+    # ahead of it: at lr 50 module 1 diverges too, two updates later; at
+    # lr 0.3 module K closes updates past the diverging one
     specs = [net.affine(6, 12), net.relu(12), net.affine(12, 12),
              net.identity(12), net.affine(12, 1)]
     cfg = TrainConfig(specs, partition_even(len(specs), K), net.MSE, 1, 8, 7,
@@ -69,13 +69,14 @@ def test_parallel_divergence_does_not_depend_on_thread_timing(
     ds = data.gen_linreg(96, 6, 0.1, seed=4)
     clocked = run_clocked(cfg, ds)
     assert clocked.diverged
-    assert clocked.divergence_reason.startswith(f"module {held} gradient norm")
+    named = "loss=" if held == K else f"module {held} gradient norm"
+    assert clocked.divergence_reason.startswith(named)
+    closing = cfg.ga_steps * clocked.S - 1  # the diverging update's slot
     feed = scheduler.feed_slot
 
-    def held_back(w, *args):
-        fresh = w.divergence is None
-        running = feed(w, *args)
-        if fresh and w.divergence and w.k == held:
+    def held_back(w, u, *args):
+        running = feed(w, u, *args)
+        if w.k == held and u == closing:
             time.sleep(0.05)
         return running
 

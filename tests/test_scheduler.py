@@ -183,6 +183,29 @@ def test_divergence_stops_run_with_partial_trace(spiral_case):
     assert 0 < trace.S < 60
 
 
+def test_divergence_reason_priority():
+    # modules 1..K-1 by norm in module order, then module K's first
+    # offending loss, then module K's norm, then the whole-network norm
+    reason = scheduler.divergence_reason
+    nan, inf = float("nan"), float("inf")
+    assert reason(4, None, [1.0, 1.0, 1.0], 2.0) is None
+    assert reason(4, (13, 7.5), [16.0, 9.0, 25.0], 2.0) == \
+        "module 1 gradient norm 4.0 at update 5"
+    assert reason(4, (13, 7.5), [1.0, 9.0, 25.0], 2.0) == \
+        "module 2 gradient norm 3.0 at update 5"
+    assert reason(4, (13, 7.5), [1.0, 1.0, 25.0], 2.0) == \
+        "loss=7.5 at batch 13"
+    assert reason(4, None, [1.0, 1.0, 25.0], 2.0) == \
+        "module 3 gradient norm 5.0 at update 5"
+    assert reason(4, None, [1.0, 1.0, 1.0], 1.5) == \
+        "global gradient norm 1.7320508075688772 at update 5"
+    assert reason(0, None, [nan, 1.0], 1e12) == \
+        "module 1 gradient norm nan at update 1"
+    assert reason(0, (3, inf), [1.0, inf], 1e12) == "loss=inf at batch 3"
+    assert reason(2, None, [inf], 1e12) == \
+        "module 1 gradient norm inf at update 3"
+
+
 def test_loss_matches_full_batch_reference(spiral_case):
     # the recorded loss of update s is the top module's forward loss of
     # the group-closing batch, evaluated on version-s parameters: recompute

@@ -1,4 +1,5 @@
 """CSV round-trips, summaries, and observed-staleness extraction."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from adl.errors import ComparisonError
 from adl.oracle import sync_ga_sgd
 from adl.scheduler import run_clocked
 from adl.staleness import averaged_los
-from adl.trace import (CSV_COLUMNS, observed_averaged_los, read_csv,
-                       summary_text, write_csv, write_events_csv)
+from adl.trace import (CSV_COLUMNS, compare_traces, observed_averaged_los,
+                       read_csv, summary_text, write_csv, write_events_csv)
 
 
 def roundtrip(trace, tmp_path):
@@ -47,6 +48,32 @@ def test_csv_diverged_flag(tmp_path, spiral_case):
     assert trace.diverged
     _, back = roundtrip(trace, tmp_path)
     assert back.diverged and back.S == trace.S
+
+
+def test_compare_traces_treats_nan_as_a_difference(spiral_case):
+    cfg, ds = spiral_case(2, 2, S=6, record_params=True)
+    a = run_clocked(cfg, ds)
+    b = run_clocked(cfg, ds)
+    b.updates[2].loss = math.nan
+    rep = compare_traces(a, b, tol=1e-6)
+    assert not rep.passed and rep.first_divergence == 2
+    assert rep.max_loss_diff == math.inf
+    b = run_clocked(cfg, ds)
+    b.params[4][7] = math.nan  # the version update 4 produced
+    rep = compare_traces(a, b, tol=1e-6)
+    assert not rep.passed and rep.first_divergence == 3
+    assert rep.max_param_diff == math.inf
+
+
+def test_compare_traces_passes_identical_diverged_traces(spiral_case):
+    # run until the loss is NaN; infinities in the same places also match
+    cfg, ds = spiral_case(2, 1, S=60, lr=2000.0, divergence_limit=math.inf)
+    a, b = run_clocked(cfg, ds), run_clocked(cfg, ds)
+    assert a.diverged and math.isnan(a.updates[-1].loss)
+    for trace in (a, b):
+        trace.updates[-2].grad_norm = math.inf
+    rep = compare_traces(a, b, tol=0.0)
+    assert rep.passed and rep.max_loss_diff == rep.max_grad_norm_diff == 0.0
 
 
 def test_read_csv_rejects_garbage(tmp_path):
