@@ -18,9 +18,8 @@ Run:  python3 demos/03_bounds.py
 """
 import numpy as np
 
-from adl.staleness import (BoundInputs, averaged_los_sum, theorem1_rhs,
-                           theorem2_rhs, theorem3_bound, theorem3_lr,
-                           theorem3_lr_ok)
+from adl.staleness import (averaged_los_sum, theorem1_rhs, theorem2_rhs,
+                           theorem3_bound, theorem3_lr, theorem3_lr_ok)
 
 print("=" * 64)
 print("1. When does one update provably descend?")
@@ -63,11 +62,10 @@ print("=" * 64)
 print("Same K=8 pipeline, same batch budget; deeper accumulation trades")
 print("update count for smaller lag and a smaller constant:")
 for M in (1, 2, 4, 8):
-    inputs = BoundInputs(A=1.0, L=1.0, M=M, K=8)
+    dbar = float(averaged_los_sum(8, M))
     S = 8192 // M
-    bound = theorem3_bound(1.0, 1.0, S, A=1.0, L=1.0, M=M,
-                           dbar_sum=inputs.dbar_sum)
-    print(f"  M={M}: sum dbar = {inputs.dbar_sum:6.2f}, S={S:5d}, "
+    bound = theorem3_bound(1.0, 1.0, S, A=1.0, L=1.0, M=M, dbar_sum=dbar)
+    print(f"  M={M}: sum dbar = {dbar:6.2f}, S={S:5d}, "
           f"guarantee {bound:.4f}")
 print("The 1/sqrt(M*S) scaling keeps M*S fixed here, so the whole")
 print("difference comes from the (1 + dbar_sum/M) staleness factor.")

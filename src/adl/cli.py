@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import net
 from .errors import AdlError, ConfigError
 from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
-                        lr_at, scaled_base_lr)
+                        scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
 from .partition import Partition, partition_by_params, partition_even
 from .scheduler import TrainConfig, run_clocked, run_parallel
@@ -35,7 +35,12 @@ from .staleness import (averaged_los, averaged_los_sum, theorem1_rhs,
 from .trace import (compare_traces, read_csv, summary_text, write_csv,
                     write_events_csv)
 
-MODES = ("adl-clocked", "adl-parallel", "sync-ga", "delayed-replay")
+_RUNNERS = {
+    "adl-clocked": run_clocked,
+    "adl-parallel": run_parallel,
+    "sync-ga": sync_ga_sgd,
+    "delayed-replay": delayed_replay,
+}
 
 _SCHEMA = {
     "model": {"layers", "loss", "init_scale"},
@@ -101,6 +106,12 @@ def _get(parser, section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _split(cast):
+    """Cast for a comma- or space-separated list of values."""
+    return lambda text: tuple(cast(tok) for tok in
+                              text.replace(",", " ").split())
+
+
 def _build_dataset(parser) -> data_mod.Dataset:
     dataset_id = _get(parser, "data", "dataset", str, required=True)
     n = _get(parser, "data", "n", int, required=True)
@@ -120,19 +131,13 @@ def _build_partition(parser, num_layers, specs) -> Partition:
     if not parser.has_section("partition"):
         return partition_even(num_layers, 1)
     K = _get(parser, "partition", "k", int, required=True)
-    bounds_text = _get(parser, "partition", "boundaries", str)
+    interior = _get(parser, "partition", "boundaries", _split(int))
     strategy = _get(parser, "partition", "strategy", str, "even")
-    if bounds_text is not None:
-        try:
-            interior = [int(tok)
-                        for tok in bounds_text.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [partition] boundaries: "
-                              f"{bounds_text!r}") from exc
+    if interior is not None:
         if len(interior) != K - 1:
             raise ConfigError(
                 f"explicit boundaries need {K - 1} cut points for k={K}")
-        return Partition(num_layers, tuple([0] + interior + [num_layers]))
+        return Partition(num_layers, (0, *interior, num_layers))
     if strategy == "even":
         return partition_even(num_layers, K)
     if strategy == "cost":
@@ -142,18 +147,13 @@ def _build_partition(parser, num_layers, specs) -> Partition:
 
 def _build_schedule(parser, dataset, M, batch_size, S, K, warn):
     name = _get(parser, "optimizer", "schedule", str, required=True)
-    lr_raw = _get(parser, "optimizer", "lr", str)
+    lr = _get(parser, "optimizer", "lr",
+              lambda raw: raw if raw == "auto" else float(raw))
 
     def base_lr():
-        if lr_raw is None:
+        if lr is None:
             raise ConfigError(f"schedule {name!r} needs an lr value")
-        if lr_raw == "auto":
-            return scaled_base_lr(batch_size, M)
-        try:
-            return float(lr_raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad value for [optimizer] lr: {lr_raw!r}") from exc
+        return scaled_base_lr(batch_size, M) if lr == "auto" else lr
 
     if name == "constant":
         return ConstantLr(base_lr())
@@ -163,13 +163,8 @@ def _build_schedule(parser, dataset, M, batch_size, S, K, warn):
     if name == "step":
         warmup_epochs = _get(parser, "optimizer", "warmup_epochs", float, 0.0)
         factor = _get(parser, "optimizer", "decay_factor", float, 0.1)
-        mtext = _get(parser, "optimizer", "milestones", str, "")
-        try:
-            milestones = tuple(float(tok) for tok in
-                               mtext.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad value for [optimizer] milestones: {mtext!r}") from exc
+        milestones = _get(parser, "optimizer", "milestones", _split(float),
+                          ())
         bpe = math.ceil(dataset.n / batch_size)
         warmup_updates = round(warmup_epochs * bpe / M)
         return StepDecay(base_lr(), warmup_updates, milestones, factor, M, bpe)
@@ -222,8 +217,9 @@ def build_run(parser, warn) -> tuple:
     decay = _get(parser, "optimizer", "weight_decay", float, 0.0)
     schedule = _build_schedule(parser, dataset, M, batch_size, S, part.K, warn)
     mode = _get(parser, "run", "mode", str, required=True)
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
+    if mode not in _RUNNERS:
+        raise ConfigError(
+            f"unknown mode {mode!r}; choose from {tuple(_RUNNERS)}")
     seed = _get(parser, "run", "seed", int, 0)
     trace_level = _get(parser, "run", "trace_level", str, "updates")
     if trace_level not in ("updates", "ticks"):
@@ -242,14 +238,6 @@ def build_run(parser, warn) -> tuple:
     return mode, cfg, dataset, out, trace_level
 
 
-_RUNNERS = {
-    "adl-clocked": run_clocked,
-    "adl-parallel": run_parallel,
-    "sync-ga": sync_ga_sgd,
-    "delayed-replay": delayed_replay,
-}
-
-
 def cmd_run(args, out_stream=None, err_stream=None) -> int:
     out_stream = out_stream or sys.stdout
     err_stream = err_stream or sys.stderr
@@ -258,7 +246,7 @@ def cmd_run(args, out_stream=None, err_stream=None) -> int:
         print(f"warning: {msg}", file=err_stream)
 
     parser = _load_config(args.config)
-    mode, cfg, dataset, out, trace_level = build_run(parser, warn)
+    mode, cfg, dataset, out, _ = build_run(parser, warn)
     if out is None:
         base = os.environ.get("ADL_OUT_DIR", "runs")
         out = os.path.join(base, Path(args.config).stem)
@@ -270,7 +258,7 @@ def cmd_run(args, out_stream=None, err_stream=None) -> int:
                  for k in range(1, trace.K + 1)}
     text = summary_text(trace, predicted)
     (out_dir / "summary.txt").write_text(text)
-    if trace_level == "ticks" and trace.events is not None:
+    if trace.events is not None:
         write_events_csv(trace, out_dir / "events.csv")
     out_stream.write(text)
     return 3 if trace.diverged else 0
@@ -300,8 +288,9 @@ def cmd_staleness_table(args, out_stream=None) -> int:
 def cmd_bounds(args, out_stream=None) -> int:
     out_stream = out_stream or sys.stdout
     K, M = args.modules, args.ga_steps
-    dbar = float(averaged_los_sum(K, M)) if args.dbar_sum is None \
-        else args.dbar_sum
+    dbar = float(averaged_los_sum(K, M))  # also rejects K < 1 and M < 1
+    if args.dbar_sum is not None:
+        dbar = args.dbar_sum
     lines = [f"K={K} M={M} dbar_sum={dbar:.6g} "
              f"staleness_factor={(1.0 + dbar / M):.6g}"]
     if args.lr is not None and args.grad_norm_sq is not None:
@@ -334,6 +323,14 @@ def cmd_compare(args, out_stream=None) -> int:
     report = compare_traces(a, b, args.tol)
     out_stream.write(report.text())
     return 0 if report.passed else 1
+
+
+_COMMANDS = {
+    "run": cmd_run,
+    "staleness-table": cmd_staleness_table,
+    "bounds": cmd_bounds,
+    "compare": cmd_compare,
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -377,18 +374,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "staleness-table":
-            return cmd_staleness_table(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "compare":
-            return cmd_compare(args)
+        return _COMMANDS[args.command](args)
     except (AdlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

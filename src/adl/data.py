@@ -82,19 +82,6 @@ def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
     return Dataset("two_spirals", seed, CLASSIFICATION, pts, labels)
 
 
-_GENERATORS = {
-    "linreg": gen_linreg,
-    "two_spirals": gen_two_spirals,
-}
-
-
-def make_dataset(generator_id: str, **params) -> Dataset:
-    if generator_id not in _GENERATORS:
-        raise ConfigError(f"unknown dataset {generator_id!r}; "
-                          f"known: {sorted(_GENERATORS)}")
-    return _GENERATORS[generator_id](**params)
-
-
 _sampler = threading.local()  # .rng: this thread's Philox Generator
 _ZEROS = np.zeros(4, dtype=np.uint64)
 

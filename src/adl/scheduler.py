@@ -113,8 +113,7 @@ class TrainConfig:
     updates: int                  # S
     schedule: object
     sgd: SgdConfig = field(default_factory=SgdConfig)
-    seed: int = 0                 # parameter init (and default sampler key)
-    sampler_seed: int = None
+    seed: int = 0                 # parameter init and sampler key
     init_scale: float = 1.0
     record_params: bool = False
     record_grads: bool = False
@@ -135,8 +134,11 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.ga_steps < 1 or self.updates < 1 or self.batch_size < 1:
             raise ConfigError("ga_steps, updates and batch_size must be >= 1")
-        if self.sampler_seed is None:
-            self.sampler_seed = self.seed
+
+    @property
+    def sampler_seed(self) -> int:
+        """Key of the batch sampler; always equal to seed."""
+        return self.seed
 
     @property
     def K(self) -> int:

@@ -12,7 +12,6 @@ zero gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,14 +80,17 @@ def effective_version(s: int, j: int, K: int, k: int, M: int) -> int:
 def averaged_los(K: int, k: int, M: int) -> Fraction:
     """Average staleness over one accumulation group, exact rational:
     (1/M) * sum_j steady_staleness."""
+    _, _, K, k, M = _check_module_args(0, 0, K, k, M)
     total = 0
-    for j in range(_check_int("M", M)):
+    for j in range(M):
         total += steady_staleness(K, k, M, j)
     return Fraction(total, M)
 
 
 def averaged_los_sum(K: int, M: int) -> Fraction:
     """sum_k averaged_los(K, k, M), the quantity the bounds depend on."""
+    if _check_int("K", K) < 1:
+        raise DomainError(f"number of modules K must be >= 1, got {K}")
     return sum((averaged_los(K, k, M) for k in range(1, K + 1)),
                Fraction(0))
 
@@ -158,13 +160,8 @@ def theorem2_rhs(lrs, gap: float, A: float, L: float,
     return 2.0 * gap / T + 2.0 * A * L * factor * sumsq / (M * T)
 
 
-def theorem3_lr(epsilon: float, gap: float, S: int, A: float, L: float,
-                M: int, dbar_sum: float) -> float:
-    """Constant learning rate epsilon*sqrt(M*gap / (S*A*L*(1+dbar_sum/M))).
-
-    Callers should check theorem3_lr_ok (L*lr <= 1) before trusting the
-    matching bound; the rate itself is returned unconditionally.
-    """
+def _theorem3_args(epsilon, gap, S, A, L, M, dbar_sum):
+    """Validated (epsilon, gap, S, A, L, M, staleness factor)."""
     epsilon = _check_pos("epsilon", epsilon)
     gap = _check_pos("gap", gap)
     S = _check_int("S", S)
@@ -173,7 +170,18 @@ def theorem3_lr(epsilon: float, gap: float, S: int, A: float, L: float,
     A = _check_pos("A", A)
     L = _check_pos("L", L)
     factor = _staleness_factor(M, dbar_sum)
-    M = int(M)
+    return epsilon, gap, S, A, L, int(M), factor
+
+
+def theorem3_lr(epsilon: float, gap: float, S: int, A: float, L: float,
+                M: int, dbar_sum: float) -> float:
+    """Constant learning rate epsilon*sqrt(M*gap / (S*A*L*(1+dbar_sum/M))).
+
+    Callers should check theorem3_lr_ok (L*lr <= 1) before trusting the
+    matching bound; the rate itself is returned unconditionally.
+    """
+    epsilon, gap, S, A, L, M, factor = _theorem3_args(
+        epsilon, gap, S, A, L, M, dbar_sum)
     return epsilon * float(np.sqrt(M * gap / (S * A * L * factor)))
 
 
@@ -189,84 +197,7 @@ def theorem3_bound(epsilon: float, gap: float, S: int, A: float, L: float,
 
     Decays as 1/sqrt(M*S); epsilon = 1 minimizes the leading factor.
     """
-    epsilon = _check_pos("epsilon", epsilon)
-    gap = _check_pos("gap", gap)
-    S = _check_int("S", S)
-    if S < 1:
-        raise DomainError(f"S must be >= 1, got {S}")
-    A = _check_pos("A", A)
-    L = _check_pos("L", L)
-    factor = _staleness_factor(M, dbar_sum)
-    M = int(M)
+    epsilon, gap, S, A, L, M, factor = _theorem3_args(
+        epsilon, gap, S, A, L, M, dbar_sum)
     return (2.0 + 2.0 * epsilon * epsilon) / epsilon * float(
         np.sqrt(A * L * gap * factor / (M * S)))
-
-
-@dataclass
-class BoundInputs:
-    """Bundle of problem constants for the bound calculators.
-
-    A bounds the expected squared gradient norm, L is the smoothness
-    constant, gap = f(theta_0) - f*.  dbar_sum defaults to the exact
-    pipeline value for (K, M).
-    """
-
-    A: float
-    L: float
-    M: int
-    K: int = None
-    dbar_sum: float = None
-    gap: float = None
-    S: int = None
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if self.dbar_sum is None:
-            if self.K is None:
-                raise DomainError("need either dbar_sum or K")
-            self.dbar_sum = float(averaged_los_sum(self.K, self.M))
-
-    def theorem1(self, lr, grad_norm_sq):
-        return theorem1_rhs(lr, grad_norm_sq, self.A, self.L, self.M,
-                            self.dbar_sum)
-
-    def theorem2(self, lrs):
-        return theorem2_rhs(lrs, self.gap, self.A, self.L, self.M,
-                            self.dbar_sum)
-
-    def theorem3(self):
-        lr = theorem3_lr(self.epsilon, self.gap, self.S, self.A, self.L,
-                         self.M, self.dbar_sum)
-        bound = theorem3_bound(self.epsilon, self.gap, self.S, self.A,
-                               self.L, self.M, self.dbar_sum)
-        return lr, bound, float(self.L) * lr <= 1.0
-
-
-def estimate_grad_bound(grad_norms) -> float:
-    """Empirical stand-in for A: max observed squared gradient norm.
-
-    This is an estimate from one trajectory, not a proof-grade constant.
-    """
-    norms = np.asarray(grad_norms, dtype=np.float64)
-    if norms.size == 0:
-        raise DomainError("no gradient norms to estimate from")
-    return float(np.max(norms * norms))
-
-
-def estimate_lipschitz(params_seq, grads_seq) -> float:
-    """Empirical stand-in for L: max secant slope ||dg|| / ||dtheta||
-    along a recorded trajectory.  Estimate only; can undershoot the true
-    smoothness constant badly on curved regions the trajectory misses.
-    """
-    if len(params_seq) != len(grads_seq):
-        raise DomainError("parameter and gradient histories differ in length")
-    if len(params_seq) < 2:
-        raise DomainError("need at least two trajectory points")
-    best = 0.0
-    for i in range(len(params_seq) - 1):
-        dtheta = np.asarray(params_seq[i + 1]) - np.asarray(params_seq[i])
-        dgrad = np.asarray(grads_seq[i + 1]) - np.asarray(grads_seq[i])
-        denom = float(np.linalg.norm(dtheta))
-        if denom > 0.0:
-            best = max(best, float(np.linalg.norm(dgrad)) / denom)
-    return best

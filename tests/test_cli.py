@@ -63,6 +63,9 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"optimizer": {"schedule": "step", "lr": "0.1",
                     "milestones": "2, x"}}, "bad value"),
     ({"partition": {"boundaries": "one"}}, "bad value"),
+    ({"optimizer": {"schedule": "harmonic", "harmonic_c": "0.1",
+                    "lr": "banana"}}, "bad value"),
+    ({"data": {"dataset": "mnist"}}, "unknown dataset"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)
@@ -195,10 +198,21 @@ def test_bounds_reproduces_reference_numbers(capsys):
 
 
 def test_bounds_domain_error_exit_2(capsys):
-    assert main(["bounds", "--modules", "1", "--ga-steps", "1",
-                 "--grad-bound", "-1", "--smoothness", "1",
-                 "--gap", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    bound = ["--grad-bound", "1", "--smoothness", "1"]
+    for argv in (
+            ["bounds", "--modules", "1", "--ga-steps", "1",
+             "--grad-bound", "-1", "--smoothness", "1", "--gap", "1"],
+            ["staleness-table", "--K", "3", "--M", "0"],
+            ["bounds", "--modules", "2", "--ga-steps", "0", *bound],
+            ["bounds", "--modules", "2", "--ga-steps", "0", *bound,
+             "--dbar-sum", "1"],
+            ["staleness-table", "--K", "3", "--M", "-2"],
+            ["staleness-table", "--K", "0", "--M", "1"],
+            ["bounds", "--modules", "0", "--ga-steps", "1", *bound,
+             "--gap", "1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and not captured.out, argv
 
 
 def test_compare_exit_codes(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from adl import data
 from adl import net
-from adl.errors import ConfigError
 from adl.optimizer import Accumulator, ConstantLr, SgdConfig, ga_update
 
 
@@ -54,15 +53,6 @@ def test_two_spirals_classes_interleave():
     assert r.min() > 0.1 and r.max() < 2.3
     # same radial band for both classes
     assert abs(r[ds.targets == 0].mean() - r[ds.targets == 1].mean()) < 0.2
-
-
-def test_make_dataset_registry():
-    ds = data.make_dataset("linreg", n=8, dim=2, noise_std=0.0, seed=0)
-    assert ds.generator_id == "linreg" and ds.n == 8
-    ds2 = data.make_dataset("two_spirals", n=8, noise_std=0.0, seed=0)
-    assert ds2.generator_id == "two_spirals"
-    with pytest.raises(ConfigError):
-        data.make_dataset("mnist", n=8)
 
 
 def test_batch_is_pure_function_of_seed_and_counter():

@@ -1,4 +1,6 @@
 """Pipeline schedule, provenance, and the clocked runner."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,14 @@ def test_clocked_run_is_deterministic(spiral_case):
     assert rep.passed and rep.max_param_diff == 0.0
     for ga, gb in zip(a.grads, b.grads):
         np.testing.assert_array_equal(ga, gb)
+
+
+def test_replaced_seed_also_rekeys_the_sampler(spiral_case):
+    cfg, ds = spiral_case(2, 2, S=6, seed=1, record_params=True)
+    fresh, _ = spiral_case(2, 2, S=6, seed=7, record_params=True)
+    rep = compare_traces(run_clocked(replace(cfg, seed=7), ds),
+                         run_clocked(fresh, ds), tol=0.0)
+    assert rep.passed and rep.max_param_diff == 0.0
 
 
 def test_momentum_and_decay_run_through_pipeline(spiral_case):

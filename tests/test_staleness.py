@@ -1,5 +1,4 @@
 """Exact staleness arithmetic and the convergence-bound calculators."""
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -188,36 +187,6 @@ def test_epsilon_one_minimizes_leading_factor():
     assert f(1.0) <= min(f(e) for e in np.linspace(0.1, 4.0, 100))
 
 
-def test_bound_inputs_bundle():
-    b = stale.BoundInputs(A=1.0, L=1.0, M=4, K=3, gap=1.0, S=16)
-    assert b.dbar_sum == 1.5
-    lr, bound, ok = b.theorem3()
-    assert ok and lr > 0 and bound > 0
-    assert b.theorem1(0.1, 4.0) == stale.theorem1_rhs(
-        0.1, 4.0, 1.0, 1.0, 4, 1.5)
-    with pytest.raises(DomainError):
-        stale.BoundInputs(A=1.0, L=1.0, M=4)
-
-
-# ---------------------------------------------------------- estimators
-
-def test_estimate_grad_bound():
-    assert stale.estimate_grad_bound([1.0, 3.0, 2.0]) == 9.0
-    with pytest.raises(DomainError):
-        stale.estimate_grad_bound([])
-
-
-def test_estimate_lipschitz_on_quadratic():
-    # for f(x) = 0.5 * x^T diag(1, 4) x the true L is 4; secants along any
-    # trajectory can only undershoot it
-    xs = [np.array([1.0, 1.0]), np.array([0.5, -0.2]), np.array([0.1, 0.3])]
-    gs = [x * np.array([1.0, 4.0]) for x in xs]
-    est = stale.estimate_lipschitz(xs, gs)
-    assert 1.0 <= est <= 4.0 + 1e-12
-    with pytest.raises(DomainError):
-        stale.estimate_lipschitz(xs, gs[:2])
-
-
 def test_domain_validation():
     with pytest.raises(DomainError):
         stale.module_staleness(-1, 0, 3, 1, 1)
@@ -231,3 +200,7 @@ def test_domain_validation():
         stale.theorem3_bound(1.0, 1.0, 0, 1.0, 1.0, 1, 0.0)
     with pytest.raises(DomainError):
         stale.averaged_los(3, 2, 4.0)
+    with pytest.raises(DomainError):
+        stale.averaged_los(3, 1, 0)
+    with pytest.raises(DomainError):
+        stale.averaged_los_sum(0, 1)
