@@ -28,7 +28,7 @@ WIDTH, N, UPDATES = 256, 512, 40
 rng = np.random.default_rng(3)
 x = rng.normal(size=(N, WIDTH))
 y = np.tanh(x @ rng.normal(size=(WIDTH, WIDTH)) / np.sqrt(WIDTH))
-data = Dataset("wide_mlp_demo", 3, REGRESSION, x, y)
+data = Dataset(REGRESSION, x, y)
 
 specs = []
 for _ in range(4):

@@ -7,8 +7,8 @@ Subcommands:
     compare          diff two trace.csv files within a tolerance
 
 Configs are flat ``key = value`` text with one section per concern
-([model], [partition], [data], [optimizer], [run]); no nesting.  Every
-key is validated before anything runs and unknown keys are rejected.
+([model], [partition], [data], [optimizer], [run]); no nesting.  build_run
+parses every key present before anything runs and rejects unknown keys.
 
 Exit codes: 0 success, 1 comparison failure, 2 bad config/arguments,
 3 run diverged.
@@ -30,8 +30,9 @@ from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
 from .oracle import delayed_replay, sync_ga_sgd
 from .partition import Partition, partition_by_params, partition_even
 from .scheduler import TrainConfig, run_clocked, run_parallel
-from .staleness import (averaged_los, averaged_los_sum, theorem1_rhs,
-                        theorem2_rhs, theorem3_bound, theorem3_lr)
+from .staleness import (_check_pos, _staleness_factor, averaged_los,
+                        averaged_los_sum, theorem1_rhs, theorem2_rhs,
+                        theorem3_bound, theorem3_lr)
 from .trace import (compare_traces, read_csv, summary_text, write_csv,
                     write_events_csv)
 
@@ -41,18 +42,6 @@ _RUNNERS = {
     "sync-ga": sync_ga_sgd,
     "delayed-replay": delayed_replay,
 }
-
-_SCHEMA = {
-    "model": {"layers", "loss", "init_scale"},
-    "partition": {"k", "strategy", "boundaries"},
-    "data": {"dataset", "n", "dim", "noise_std", "seed"},
-    "optimizer": {"ga_steps", "updates", "batch_size", "momentum",
-                  "weight_decay", "schedule", "lr", "harmonic_c",
-                  "warmup_epochs", "milestones", "decay_factor",
-                  "epsilon", "gap", "grad_bound", "smoothness"},
-    "run": {"mode", "out", "seed", "trace_level"},
-}
-
 
 def _parse_layers(text: str):
     specs = []
@@ -77,62 +66,80 @@ def _parse_layers(text: str):
     return specs
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-    for required in ("model", "data", "optimizer", "run"):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing config section [{required}]")
-    return parser
-
-
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
 def _split(cast):
     """Cast for a comma- or space-separated list of values."""
     return lambda text: tuple(cast(tok) for tok in
                               text.replace(",", " ").split())
 
 
-def _build_dataset(parser) -> data_mod.Dataset:
-    dataset_id = _get(parser, "data", "dataset", str, required=True)
-    n = _get(parser, "data", "n", int, required=True)
-    noise = _get(parser, "data", "noise_std", float, 0.0)
-    seed = _get(parser, "data", "seed", int, 0)
+# section -> key -> the cast that parses its value
+_SCHEMA = {
+    "model": {"layers": _parse_layers, "loss": str, "init_scale": float},
+    "partition": {"k": int, "strategy": str, "boundaries": _split(int)},
+    "data": {"dataset": str, "n": int, "dim": int, "noise_std": float,
+             "seed": int},
+    "optimizer": {"ga_steps": int, "updates": int, "batch_size": int,
+                  "momentum": float, "weight_decay": float, "schedule": str,
+                  "lr": lambda raw: raw if raw == "auto" else float(raw),
+                  "harmonic_c": float, "warmup_epochs": float,
+                  "milestones": _split(float), "decay_factor": float,
+                  "epsilon": float, "gap": float, "grad_bound": float,
+                  "smoothness": float},
+    "run": {"mode": str, "out": str, "seed": int, "trace_level": str},
+}
+
+
+def _parse(parser) -> dict:
+    """{section: {key: value}} of every key, each cast by its _SCHEMA
+    entry; unknown sections and keys and missing sections are errors."""
+    conf = {}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        conf[section] = {}
+        for key, raw in parser[section].items():
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            try:
+                conf[section][key] = _SCHEMA[section][key](raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"bad value for [{section}] {key}: {raw!r}") from exc
+    for required in ("model", "data", "optimizer", "run"):
+        if required not in conf:
+            raise ConfigError(f"missing config section [{required}]")
+    return conf
+
+
+def _get(conf, section, key, default=None, required=False):
+    if required and key not in conf[section]:
+        raise ConfigError(f"missing required key {key!r} in [{section}]")
+    return conf[section].get(key, default)
+
+
+def _build_dataset(conf) -> data_mod.Dataset:
+    dataset_id = _get(conf, "data", "dataset", required=True)
+    n = _get(conf, "data", "n", required=True)
+    noise = _get(conf, "data", "noise_std", 0.0)
+    seed = _get(conf, "data", "seed", 0)
     if dataset_id == "linreg":
-        dim = _get(parser, "data", "dim", int, required=True)
+        dim = _get(conf, "data", "dim", required=True)
         return data_mod.gen_linreg(n, dim, noise, seed)
     if dataset_id == "two_spirals":
-        if parser.has_option("data", "dim"):
+        if "dim" in conf["data"]:
             raise ConfigError("two_spirals has a fixed dim of 2")
         return data_mod.gen_two_spirals(n, noise, seed)
     raise ConfigError(f"unknown dataset {dataset_id!r}")
 
 
-def _build_partition(parser, num_layers, specs) -> Partition:
-    if not parser.has_section("partition"):
+def _build_partition(conf, num_layers, specs) -> Partition:
+    if "partition" not in conf:
         return partition_even(num_layers, 1)
-    K = _get(parser, "partition", "k", int, required=True)
-    interior = _get(parser, "partition", "boundaries", _split(int))
-    strategy = _get(parser, "partition", "strategy", str, "even")
+    K = _get(conf, "partition", "k", required=True)
+    interior = _get(conf, "partition", "boundaries")
+    strategy = _get(conf, "partition", "strategy", "even")
+    if strategy not in ("even", "cost"):
+        raise ConfigError(f"unknown partition strategy {strategy!r}")
     if interior is not None:
         if len(interior) != K - 1:
             raise ConfigError(
@@ -140,15 +147,12 @@ def _build_partition(parser, num_layers, specs) -> Partition:
         return Partition(num_layers, (0, *interior, num_layers))
     if strategy == "even":
         return partition_even(num_layers, K)
-    if strategy == "cost":
-        return partition_by_params(specs, K)
-    raise ConfigError(f"unknown partition strategy {strategy!r}")
+    return partition_by_params(specs, K)
 
 
-def _build_schedule(parser, dataset, M, batch_size, S, K, warn):
-    name = _get(parser, "optimizer", "schedule", str, required=True)
-    lr = _get(parser, "optimizer", "lr",
-              lambda raw: raw if raw == "auto" else float(raw))
+def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
+    name = _get(conf, "optimizer", "schedule", required=True)
+    lr = _get(conf, "optimizer", "lr")
 
     def base_lr():
         if lr is None:
@@ -158,21 +162,20 @@ def _build_schedule(parser, dataset, M, batch_size, S, K, warn):
     if name == "constant":
         return ConstantLr(base_lr())
     if name == "harmonic":
-        c = _get(parser, "optimizer", "harmonic_c", float, required=True)
+        c = _get(conf, "optimizer", "harmonic_c", required=True)
         return Harmonic(c)
     if name == "step":
-        warmup_epochs = _get(parser, "optimizer", "warmup_epochs", float, 0.0)
-        factor = _get(parser, "optimizer", "decay_factor", float, 0.1)
-        milestones = _get(parser, "optimizer", "milestones", _split(float),
-                          ())
+        warmup_epochs = _get(conf, "optimizer", "warmup_epochs", 0.0)
+        factor = _get(conf, "optimizer", "decay_factor", 0.1)
+        milestones = _get(conf, "optimizer", "milestones", ())
         bpe = math.ceil(dataset.n / batch_size)
         warmup_updates = round(warmup_epochs * bpe / M)
         return StepDecay(base_lr(), warmup_updates, milestones, factor, M, bpe)
     if name == "theorem3":
-        eps = _get(parser, "optimizer", "epsilon", float, 1.0)
-        gap = _get(parser, "optimizer", "gap", float, required=True)
-        A = _get(parser, "optimizer", "grad_bound", float, required=True)
-        L = _get(parser, "optimizer", "smoothness", float, required=True)
+        eps = _get(conf, "optimizer", "epsilon", 1.0)
+        gap = _get(conf, "optimizer", "gap", required=True)
+        A = _get(conf, "optimizer", "grad_bound", required=True)
+        L = _get(conf, "optimizer", "smoothness", required=True)
         dbar = float(averaged_los_sum(K, M))
         lr = theorem3_lr(eps, gap, S, A, L, M, dbar)
         if L * lr > 1.0:
@@ -202,29 +205,30 @@ def _check_model_vs_data(specs, loss, dataset):
 
 def build_run(parser, warn) -> tuple:
     """(mode, TrainConfig, dataset, out_dir, trace_level) from parsed INI."""
-    specs = _parse_layers(_get(parser, "model", "layers", str, required=True))
-    loss = _get(parser, "model", "loss", str, required=True)
+    conf = _parse(parser)
+    specs = _get(conf, "model", "layers", required=True)
+    loss = _get(conf, "model", "loss", required=True)
     if loss not in net.LOSS_KINDS:
         raise ConfigError(f"unknown loss {loss!r}")
-    init_scale = _get(parser, "model", "init_scale", float, 1.0)
-    dataset = _build_dataset(parser)
+    init_scale = _get(conf, "model", "init_scale", 1.0)
+    dataset = _build_dataset(conf)
     _check_model_vs_data(specs, loss, dataset)
-    part = _build_partition(parser, len(specs), specs)
-    M = _get(parser, "optimizer", "ga_steps", int, 1)
-    S = _get(parser, "optimizer", "updates", int, required=True)
-    batch_size = _get(parser, "optimizer", "batch_size", int, required=True)
-    momentum = _get(parser, "optimizer", "momentum", float, 0.0)
-    decay = _get(parser, "optimizer", "weight_decay", float, 0.0)
-    schedule = _build_schedule(parser, dataset, M, batch_size, S, part.K, warn)
-    mode = _get(parser, "run", "mode", str, required=True)
+    part = _build_partition(conf, len(specs), specs)
+    M = _get(conf, "optimizer", "ga_steps", 1)
+    S = _get(conf, "optimizer", "updates", required=True)
+    batch_size = _get(conf, "optimizer", "batch_size", required=True)
+    momentum = _get(conf, "optimizer", "momentum", 0.0)
+    decay = _get(conf, "optimizer", "weight_decay", 0.0)
+    schedule = _build_schedule(conf, dataset, M, batch_size, S, part.K, warn)
+    mode = _get(conf, "run", "mode", required=True)
     if mode not in _RUNNERS:
         raise ConfigError(
             f"unknown mode {mode!r}; choose from {tuple(_RUNNERS)}")
-    seed = _get(parser, "run", "seed", int, 0)
-    trace_level = _get(parser, "run", "trace_level", str, "updates")
+    seed = _get(conf, "run", "seed", 0)
+    trace_level = _get(conf, "run", "trace_level", "updates")
     if trace_level not in ("updates", "ticks"):
         raise ConfigError(f"trace_level must be updates|ticks, got {trace_level!r}")
-    out = _get(parser, "run", "out", str)
+    out = _get(conf, "run", "out")
     try:
         cfg = TrainConfig(specs, part, loss, M, batch_size, S, schedule,
                           SgdConfig(momentum, decay), seed=seed,
@@ -245,7 +249,9 @@ def cmd_run(args, out_stream=None, err_stream=None) -> int:
     def warn(msg):
         print(f"warning: {msg}", file=err_stream)
 
-    parser = _load_config(args.config)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    if not parser.read(args.config):
+        raise ConfigError(f"cannot read config file {args.config!r}")
     mode, cfg, dataset, out, _ = build_run(parser, warn)
     if out is None:
         base = os.environ.get("ADL_OUT_DIR", "runs")
@@ -291,8 +297,10 @@ def cmd_bounds(args, out_stream=None) -> int:
     dbar = float(averaged_los_sum(K, M))  # also rejects K < 1 and M < 1
     if args.dbar_sum is not None:
         dbar = args.dbar_sum
+    _check_pos("--grad-bound", args.grad_bound)
+    _check_pos("--smoothness", args.smoothness)
     lines = [f"K={K} M={M} dbar_sum={dbar:.6g} "
-             f"staleness_factor={(1.0 + dbar / M):.6g}"]
+             f"staleness_factor={_staleness_factor(M, dbar):.6g}"]
     if args.lr is not None and args.grad_norm_sq is not None:
         r1 = theorem1_rhs(args.lr, args.grad_norm_sq, args.grad_bound,
                           args.smoothness, M, dbar)
@@ -375,7 +383,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AdlError, OSError) as exc:
+    except (AdlError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,8 +21,6 @@ CLASSIFICATION = "classification"
 
 @dataclass
 class Dataset:
-    generator_id: str
-    seed: int
     kind: str
     inputs: np.ndarray   # (n, dim) float64
     targets: np.ndarray  # (n, out) float64 or (n,) int64 labels
@@ -52,7 +50,7 @@ def gen_linreg(n: int, dim: int, noise_std: float, seed: int) -> Dataset:
     y = x @ w_star
     if noise_std > 0:
         y = y + rng.normal(0.0, noise_std, size=n)
-    return Dataset("linreg", seed, REGRESSION, x, y[:, None])
+    return Dataset(REGRESSION, x, y[:, None])
 
 
 def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
@@ -79,7 +77,7 @@ def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
         pts[i, 1] = radius * np.sin(angle)
     if noise_std > 0:
         pts = pts + rng.normal(0.0, noise_std, size=(n, 2))
-    return Dataset("two_spirals", seed, CLASSIFICATION, pts, labels)
+    return Dataset(CLASSIFICATION, pts, labels)
 
 
 _sampler = threading.local()  # .rng: this thread's Philox Generator

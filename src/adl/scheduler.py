@@ -20,12 +20,14 @@ backward, each worker keeps a ring of parameter snapshots per version.
 Updates build fresh arrays, so a snapshot is just a reference to the
 parameter list that was live at that version.
 
-Both runners feed every slot through feed_slot, which reads a worker's
-inputs from and sends its outputs to FIFO edges keyed (sender, receiver).
-run_clocked executes the tick loop in-process over plain lists;
-run_parallel runs one thread per module over bounded queues and produces
-a bit-identical trace (each worker performs the same float operations in
-the same order, only wall-clock interleaving differs).
+A ModuleWorker computes on plain arrays.  feed_slot alone owns the slot
+protocol: it reads, index-checks, builds and sends the Messages on FIFO
+edges keyed (sender, receiver), and both runners feed every slot through
+it.  They differ only in the edges: run_clocked executes the tick loop
+in-process over plain lists; run_parallel runs one thread per module
+over bounded queues and produces a bit-identical trace (each worker
+performs the same float operations in the same order, only wall-clock
+interleaving differs).
 
 Divergence is judged after the run, from the update records alone: a
 run executes all S updates, divergence_reason names the first update
@@ -38,7 +40,7 @@ import functools
 import math
 import queue
 import threading
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +136,8 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.ga_steps < 1 or self.updates < 1 or self.batch_size < 1:
             raise ConfigError("ga_steps, updates and batch_size must be >= 1")
+        if not self.init_scale >= 0:
+            raise ConfigError(f"init_scale must be >= 0, got {self.init_scale}")
 
     @property
     def sampler_seed(self) -> int:
@@ -150,8 +154,8 @@ class TrainConfig:
 
 
 class ModuleWorker:
-    """One pipeline stage: a contiguous slice of layers plus its
-    accumulator, momentum state and parameter-snapshot ring."""
+    """One pipeline stage on plain arrays, blind to the edges: a contiguous
+    slice of layers plus its accumulator, momentum and snapshot ring."""
 
     def __init__(self, k: int, cfg: TrainConfig, states):
         self.k = k
@@ -164,14 +168,16 @@ class ModuleWorker:
         self.velocity = None
         self.version = 0
         self.snapshots = {0: self.params}
-        self.stash = {}
+        self.stash = deque()  # FIFO of (batch, intermediates, version)
         self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
         self.update_records = []
         self.events = [] if cfg.trace_ticks else None
-        self._pending = None  # (batch, loss, dpred) from this slot's forward
+        self._loss = None  # module K: loss of the latest forward
         self._bad_loss = None  # module K: first offending (batch, loss)
 
     def _forward(self, u: int, x: np.ndarray, target):
+        """Forward batch u; module K returns the loss gradient instead of
+        its prediction."""
         if self.version != u // self.cfg.ga_steps:
             raise ProtocolError(
                 f"version law broken: module {self.k} at version "
@@ -182,14 +188,13 @@ class ModuleWorker:
             h, inter = layer_forward(spec, p_flat, h)
             intermediates.append(inter)
         if self.k == self.K:
-            loss, dpred = loss_and_grad(self.cfg.loss, h, target)
-            self._pending = (u, loss, dpred)
+            self._loss, h = loss_and_grad(self.cfg.loss, h, target)
             if self._bad_loss is None and \
-                    offends(loss, self.cfg.divergence_limit):
-                self._bad_loss = (u, loss)
+                    offends(self._loss, self.cfg.divergence_limit):
+                self._bad_loss = (u, self._loss)
         # stash what the delayed backward reads, if one will
         if u < self.cfg.total_batches - self.two_delta:
-            self.stash[u] = (intermediates, self.version)
+            self.stash.append((u, intermediates, self.version))
             if len(self.stash) > self.two_delta + 1:
                 raise ProtocolError(
                     f"stash occupancy {len(self.stash)} exceeds "
@@ -199,13 +204,10 @@ class ModuleWorker:
         return h
 
     def _backward(self, t_b: int, gout: np.ndarray):
-        if t_b not in self.stash:
+        if not self.stash or self.stash[0][0] != t_b:
             raise ProtocolError(
-                f"module {self.k} has no stashed context for batch {t_b}")
-        if min(self.stash) != t_b:
-            raise ProtocolError(
-                f"module {self.k} consumed batch {t_b} out of FIFO order")
-        intermediates, version = self.stash.pop(t_b)
+                f"module {self.k} stash head is not batch {t_b}")
+        _, intermediates, version = self.stash.popleft()
         sparams = self.snapshots[version]
         grads = [None] * len(self.specs)
         g = gout
@@ -229,7 +231,7 @@ class ModuleWorker:
         avg_flat = np.concatenate([a.ravel() for a in avg]) \
             if self.cfg.record_grads else None
         if self.k == self.K:
-            rec = WorkerUpdate(sumsq, slots, avg_flat, self._pending[1],
+            rec = WorkerUpdate(sumsq, slots, avg_flat, self._loss,
                                self._bad_loss)
             self._bad_loss = None
         else:
@@ -246,37 +248,21 @@ class ModuleWorker:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
 
-    def process_slot(self, u: int, fwd_x, grad_msg, target):
+    def process_slot(self, u: int, x, target, gout):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
-        u - 2*(K-k), update if u closes an accumulation group.  Returns
-        the outgoing (activation, gradient) Messages, either may be None."""
-        M, MS = self.cfg.ga_steps, self.cfg.total_batches
-        act_out = grad_out = None
-        y = self._forward(u, fwd_x, target)
-        if self.k < self.K:
-            act_out = Message(u, y, target)
+        t_b = u - 2*(K-k) from gout, the gradient of its output (module K
+        uses its own loss gradient), and update if u closes a group.
+        Returns (output, input gradient of t_b or None if t_b < 0)."""
+        y = self._forward(u, x, target)
         t_b = u - self.two_delta
+        g_in = None
         if t_b >= 0:
-            if self.k == self.K:
-                pbatch, _, dpred = self._pending
-                if pbatch != t_b:
-                    raise ProtocolError("top-module forward/backward skew")
-                gout = dpred
-            else:
-                if grad_msg.batch_index != t_b:
-                    raise ProtocolError(
-                        f"module {self.k} expected gradient for batch "
-                        f"{t_b}, got {grad_msg.batch_index}")
-                gout = grad_msg.payload
-            g_in = self._backward(t_b, gout)
-            # module k-1 reads it if it backpropagates t_b before it ends
-            if self.k > 1 and t_b < MS - self.two_delta - 2:
-                grad_out = Message(t_b, g_in)
+            g_in = self._backward(t_b, y if self.k == self.K else gout)
         else:
             self.acc.add_skipped(t_b)
-        if u % M == M - 1:
+        if u % self.cfg.ga_steps == self.cfg.ga_steps - 1:
             self._update(u)
-        return act_out, grad_out
+        return y, g_in
 
     def check_drained(self):
         if self.stash:
@@ -340,36 +326,35 @@ def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
 
 
 def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
-              dataset: Dataset) -> bool:
+              dataset: Dataset):
     """Gather worker w's slot-u inputs, run the slot and send its outputs.
 
-    edges[(sender, receiver)] carries Messages between adjacent modules
-    through get() and put(); module 1 samples batch u once, and its target
-    rides up to module K on the activations.  Returns False when a
-    stopped edge gave None."""
-    k = w.k
+    feed_slot alone reads, index-checks, builds and sends the Messages,
+    through get() and put() on edges[(sender, receiver)] between adjacent
+    modules.  Module 1 samples batch u once, and its target rides up to
+    module K on the activations.  The input gradient of batch t_b goes
+    down if module k-1 backpropagates t_b before its last slot."""
+    k, t_b = w.k, u - w.two_delta
     if k == 1:
-        fwd_x, target = sample_batch(dataset, cfg.batch_size,
-                                     cfg.sampler_seed, u)
+        x, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
     else:
         msg = edges[k - 1, k].get()
-        if msg is None:
-            return False
         if msg.batch_index != u:
             raise ProtocolError(
                 f"module {k} expected activation {u}, got {msg.batch_index}")
-        fwd_x, target = msg.payload, msg.target
-    grad_msg = None
-    if k < w.K and u >= w.two_delta:
-        grad_msg = edges[k + 1, k].get()
-        if grad_msg is None:
-            return False
-    act_out, grad_out = w.process_slot(u, fwd_x, grad_msg, target)
-    if act_out is not None:
-        edges[k, k + 1].put(act_out)
-    if grad_out is not None:
-        edges[k, k - 1].put(grad_out)
-    return True
+        x, target = msg.payload, msg.target
+    gout = None
+    if k < w.K and t_b >= 0:
+        msg = edges[k + 1, k].get()
+        if msg.batch_index != t_b:
+            raise ProtocolError(f"module {k} expected gradient for batch "
+                                f"{t_b}, got {msg.batch_index}")
+        gout = msg.payload
+    y, g_in = w.process_slot(u, x, target, gout)
+    if k < w.K:
+        edges[k, k + 1].put(Message(u, y, target))
+    if k > 1 and 0 <= t_b < cfg.total_batches - w.two_delta - 2:
+        edges[k, k - 1].put(Message(t_b, g_in))
 
 
 def _edges(K: int, make) -> dict:
@@ -418,6 +403,10 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     return _assemble(cfg, workers, "adl-clocked", sw.elapsed)
 
 
+class _Stopped(Exception):
+    """An edge of run_parallel was waited on after another worker failed."""
+
+
 class _Edge:
     """Bounded FIFO between adjacent modules with stop-aware blocking."""
 
@@ -432,7 +421,7 @@ class _Edge:
         return self.q.qsize()
 
     def _wait(self, op, state: str):
-        """Retry op every 50 ms; None once stop is set."""
+        """Retry op every 50 ms; raise _Stopped once stop is set."""
         waited = 0.0
         while not self.stop.is_set():
             try:
@@ -442,7 +431,7 @@ class _Edge:
                 if waited >= self.timeout:
                     raise ProtocolError("deadlock: edge %d->%d %s too long"
                                         % (*self.key, state))
-        return None
+        raise _Stopped
 
     def put(self, item):
         self._wait(functools.partial(self.q.put, item), "full")
@@ -463,7 +452,6 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     """
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    MS = cfg.total_batches
     stop = threading.Event()
     capacity = max(2, 2 * cfg.K)
     edges = _edges(cfg.K, lambda e: _Edge(e, capacity, stop,
@@ -473,9 +461,10 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     def drive(w: ModuleWorker):
         try:
             np.seterr(over="ignore", invalid="ignore")  # thread-local
-            for u in range(MS):
-                if stop.is_set() or not feed_slot(w, u, edges, cfg, dataset):
-                    break
+            for u in range(cfg.total_batches):
+                feed_slot(w, u, edges, cfg, dataset)
+        except _Stopped:
+            pass
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
             errors[w.k] = exc
             stop.set()

@@ -66,11 +66,24 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"optimizer": {"schedule": "harmonic", "harmonic_c": "0.1",
                     "lr": "banana"}}, "bad value"),
     ({"data": {"dataset": "mnist"}}, "unknown dataset"),
+    ({"optimizer": {"harmonic_c": "banana"}}, "bad value"),
+    ({"optimizer": {"smoothness": "x"}}, "bad value"),
+    ({"partition": {"boundaries": "1", "strategy": "bogus"}},
+     "unknown partition strategy"),
+    ({"model": {"init_scale": "-1"}}, "init_scale must be >= 0"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)
     assert main(["run", str(cfg)]) == 2
     assert msg in capsys.readouterr().err
+
+
+def test_malformed_config_file_exit_2(tmp_path, capsys):
+    headless = tmp_path / "headless.ini"
+    headless.write_text("layers = affine:2:2\n")
+    for path in (headless, write_cfg(tmp_path, run={"out": "100%"})):
+        assert main(["run", str(path)]) == 2, path
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -209,7 +222,13 @@ def test_bounds_domain_error_exit_2(capsys):
             ["staleness-table", "--K", "3", "--M", "-2"],
             ["staleness-table", "--K", "0", "--M", "1"],
             ["bounds", "--modules", "0", "--ga-steps", "1", *bound,
-             "--gap", "1"]):
+             "--gap", "1"],
+            ["bounds", "--modules", "2", "--ga-steps", "1",
+             "--grad-bound", "-1", "--smoothness", "1", "--dbar-sum", "-5"],
+            ["bounds", "--modules", "2", "--ga-steps", "1",
+             "--grad-bound", "1", "--smoothness", "inf"],
+            ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+             "--dbar-sum", "-5"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err and not captured.out, argv

@@ -114,6 +114,60 @@ def test_worker_rejects_a_stash_beyond_its_delay(spiral_case):
         w._forward(w.two_delta + 1, x, None)
 
 
+def test_worker_rejects_a_backward_out_of_stash_order(spiral_case):
+    cfg, _ = spiral_case(2, 2, S=6)
+    w = scheduler.build_workers(cfg)[0]
+    x = np.zeros((cfg.batch_size, 2))
+    w._forward(0, x, None)
+    w._forward(1, x, None)
+    gout = np.zeros((cfg.batch_size, cfg.layers[2].out_dim))
+    with pytest.raises(ProtocolError, match="module 1 stash head is not "
+                                            "batch 1"):
+        w._backward(1, gout)
+
+
+def _sync_worker(spiral_case, slots):
+    """The one worker of a K=1, M=2, S=6 run, after its first `slots`."""
+    cfg, ds = spiral_case(1, 2, S=6)
+    w = scheduler.build_workers(cfg)[0]
+    for u in range(slots):
+        x, target = scheduler.sample_batch(ds, cfg.batch_size,
+                                           cfg.sampler_seed, u)
+        w.process_slot(u, x, target, None)
+    return w
+
+
+def test_drain_check_rejects_stashed_contexts(spiral_case):
+    cfg, _ = spiral_case(2, 2, S=6)
+    w = scheduler.build_workers(cfg)[0]
+    w._forward(0, np.zeros((cfg.batch_size, 2)), None)
+    with pytest.raises(ProtocolError,
+                       match="module 1 ended with 1 stashed contexts"):
+        w.check_drained()
+
+
+def test_drain_check_rejects_an_open_accumulator(spiral_case):
+    w = _sync_worker(spiral_case, 3)
+    with pytest.raises(ProtocolError,
+                       match="module 1 ended with an open accumulator"):
+        w.check_drained()
+
+
+def test_drain_check_rejects_missing_updates(spiral_case):
+    w = _sync_worker(spiral_case, 4)
+    with pytest.raises(ProtocolError,
+                       match="module 1 performed 2 updates, expected 6"):
+        w.check_drained()
+
+
+def test_accumulator_rejects_a_gradient_of_another_layout(spiral_case):
+    cfg, _ = spiral_case(2, 2, S=6)
+    w = scheduler.build_workers(cfg)[0]
+    with pytest.raises(ProtocolError, match="gradient layout does not "
+                                            "match accumulator"):
+        w.acc.add(w.params[:1], 0, 0)
+
+
 def test_parallel_reraises_a_worker_error_and_joins_every_thread(
         spiral_case, monkeypatch):
     cfg, ds = spiral_case(3, 2, S=6)
