@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import net
-from .errors import AdlError, ConfigError
+from .errors import AdlError, ConfigError, check_finite_nonneg
 from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
                         scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
@@ -166,6 +166,7 @@ def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
         return Harmonic(c)
     if name == "step":
         warmup_epochs = _get(conf, "optimizer", "warmup_epochs", 0.0)
+        check_finite_nonneg("warmup_epochs", warmup_epochs)  # before round()
         factor = _get(conf, "optimizer", "decay_factor", 0.1)
         milestones = _get(conf, "optimizer", "milestones", ())
         bpe = math.ceil(dataset.n / batch_size)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one range check."""
 
 
 class AdlError(Exception):
@@ -24,3 +24,9 @@ class ProtocolError(AdlError, RuntimeError):
 
 class ComparisonError(AdlError, ValueError):
     """Traces cannot be compared (e.g. different update ranges)."""
+
+
+def check_finite_nonneg(name: str, value, error=DomainError):
+    """Raise error unless value is a finite number >= 0; NaN fails."""
+    if not 0.0 <= value < float("inf"):
+        raise error(f"{name} must be >= 0 and finite, got {value}")

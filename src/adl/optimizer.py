@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, ProtocolError, check_finite_nonneg
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class SgdConfig:
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise DomainError(f"weight decay must be >= 0, got {self.weight_decay}")
+        check_finite_nonneg("weight decay", self.weight_decay)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     if not acc.full:
         raise ProtocolError(
             f"update fired with {acc.count}/{acc.capacity} slots accumulated")
-    if lr < 0.0:
+    if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
     avg = [gs / acc.capacity for gs in acc.grad_sums]
     if velocity is None:
@@ -133,6 +132,9 @@ def global_grad_norm(module_sumsqs) -> float:
 class ConstantLr:
     value: float
 
+    def __post_init__(self):
+        check_finite_nonneg("learning rate", self.value)
+
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -140,6 +142,9 @@ class Harmonic:
     sum(lr) -> inf, sum(lr^2) < inf."""
 
     c: float
+
+    def __post_init__(self):
+        check_finite_nonneg("harmonic c", self.c)
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,16 @@ class StepDecay:
     factor: float = 0.1
     ga_steps: int = 1
     batches_per_epoch: int = 1
+
+    def __post_init__(self):
+        check_finite_nonneg("base learning rate", self.base)
+        check_finite_nonneg("warm-up updates", self.warmup_updates)
+        check_finite_nonneg("decay factor", self.factor)
+        for m in self.milestones_epochs:
+            check_finite_nonneg("milestone", m)
+        if list(self.milestones_epochs) != sorted(self.milestones_epochs):
+            raise DomainError(f"milestones must not decrease, got "
+                              f"{self.milestones_epochs}")
 
 
 def scaled_base_lr(batch_size: int, ga_steps: int, ref_lr: float = 0.1,

@@ -16,11 +16,11 @@ replay bit for bit -- that equality is the core correctness claim for
 the delayed-gradient bookkeeping.  The replay is an oracle, not a
 training path.
 
-Divergence follows the pipeline's rule: after each group the replay
-hands the update's records to scheduler.divergence_reason and ends the
-trace at the first offending update.  The pipeline runners execute all
-S updates and cut their traces at the same update, so every runner
-names the same reason and S.
+The replay streams each update's K module records to scheduler._assemble,
+which builds every runner's trace, so divergence follows the pipeline's
+rule: the trace and the replay stop at the first update that
+divergence_reason names, and the pipeline runners execute all S updates
+and cut their traces there.  Every runner names the same reason and S.
 
 sync_ga_sgd is the replay's K = 1 case: one module over the whole
 network has no delay, so update s+1 is M ordinary forward/backward
@@ -35,12 +35,11 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .net import init_states, net_backward, net_forward
-from .optimizer import (Accumulator, ga_update, global_grad_norm,
-                        grads_sumsq, lr_at)
+from .optimizer import Accumulator, ga_update, grads_sumsq, lr_at
 from .partition import Partition
-from .scheduler import (TrainConfig, _check_dataset, divergence_reason,
-                        offends)
-from .trace import RunTrace, StopWatch, UpdateRecord
+from .scheduler import (TrainConfig, WorkerUpdate, _assemble,
+                        _check_dataset, offends)
+from .trace import RunTrace, StopWatch
 
 __all__ = ["sync_ga_sgd", "delayed_replay"]
 
@@ -55,20 +54,19 @@ def sync_ga_sgd(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
 def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Recompute the pipeline's update sequence from its defining formula,
-    with one forward/backward pass per batch."""
+    with one forward/backward pass per batch.  The trace's wall_time
+    covers the replay and building its records."""
     _check_dataset(cfg, dataset)
     K, M, S = cfg.K, cfg.ga_steps, cfg.updates
-    states0 = init_states(cfg.layers, cfg.seed, cfg.init_scale)
+    # the live version, full network; nothing else holds version 0
+    params = [st.params for st in
+              init_states(cfg.layers, cfg.seed, cfg.init_scale)]
     module_layers = {k: list(cfg.partition.layers_of(k))
                      for k in range(1, K + 1)}
-    module_params = {k: [states0[i].params for i in module_layers[k]]
+    module_params = {k: [params[i] for i in module_layers[k]]
                      for k in range(1, K + 1)}
     velocities = dict.fromkeys(module_params, None)
     accs = {k: {} for k in module_params}  # update index -> open Accumulator
-    params = [st.params for st in states0]  # the live version, full network
-    versions = [params] if cfg.record_params else None
-    updates, grads_hist = [], []
-    reason = None
 
     def acc_for(k, u):
         """Module k's accumulator for update u, opened with its fill slots."""
@@ -94,47 +92,34 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                                   t, t // M)
         return loss
 
-    def close(k, s):
-        """Step module k to version s + 1; returns its slots, its squared
-        gradient norm and, with record_grads, its flat gradient."""
+    def close(k, s, loss=None, bad_loss=None):
+        """Step module k to version s + 1 and return its WorkerUpdate."""
         acc = acc_for(k, s)
         del accs[k][s]
         module_params[k], velocities[k], avg = ga_update(
             module_params[k], acc, lr_at(cfg.schedule, s), cfg.sgd,
             velocities[k])
-        flat = np.concatenate([a.ravel() for a in avg]) \
-            if cfg.record_grads else None
-        return list(acc.slots), grads_sumsq(avg), flat
+        return WorkerUpdate(
+            grads_sumsq(avg), list(acc.slots),
+            module_params[k] if cfg.record_params else None,
+            avg if cfg.record_grads else None, loss, bad_loss)
 
-    with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
+    def groups():
+        """Replay update by update, yielding each one's K records."""
+        nonlocal params
         for s in range(S):
             bad_loss = None
             for t in range(M * s, M * (s + 1)):
                 loss = replay(t)
                 if bad_loss is None and offends(loss, cfg.divergence_limit):
                     bad_loss = (t, loss)
-            sumsqs, slot_map, avg_flats = [], {}, []
-            for k in range(1, K + 1):
-                slot_map[k], sumsq, flat = close(k, s)
-                sumsqs.append(sumsq)
-                avg_flats.append(flat)
+            recs = [close(k, s) for k in range(1, K)]
+            recs.append(close(K, s, loss, bad_loss))
             params = [p for k in range(1, K + 1) for p in module_params[k]]
-            if cfg.record_params:
-                versions.append(params)
-            updates.append(UpdateRecord(s, M * (s + 1) + K - 2, loss,
-                                        global_grad_norm(sumsqs), slot_map))
-            if cfg.record_grads:
-                grads_hist.append(np.concatenate(avg_flats))
-            reason = divergence_reason(s, bad_loss, sumsqs,
-                                       cfg.divergence_limit)
-            if reason:
-                break
-    diverged = reason is not None
-    trace = RunTrace("delayed-replay", K, M, updates, diverged=diverged,
-                     divergence_reason=reason, wall_time=sw.elapsed)
-    if cfg.record_params and not diverged:
-        trace.params = [np.concatenate([p.ravel() for p in snap])
-                        for snap in versions]
-    if cfg.record_grads and not diverged:
-        trace.grads = grads_hist
+            yield recs
+
+    with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
+        trace = _assemble(cfg, "delayed-replay", groups(),
+                          params if cfg.record_params else None)
+    trace.wall_time = sw.elapsed
     return trace

@@ -18,7 +18,8 @@ replay oracle exact.
 Because a module may update between a batch's forward and its delayed
 backward, each worker keeps a ring of parameter snapshots per version.
 Updates build fresh arrays, so a snapshot is just a reference to the
-parameter list that was live at that version.
+parameter list that was live at that version.  The ring holds only the
+versions a later backward reads, whatever record_params says.
 
 A ModuleWorker computes on plain arrays.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the Messages on FIFO
@@ -29,10 +30,10 @@ over bounded queues and produces a bit-identical trace (each worker
 performs the same float operations in the same order, only wall-clock
 interleaving differs).
 
-Divergence is judged after the run, from the update records alone: a
-run executes all S updates, divergence_reason names the first update
-that offends, and the trace ends there.  The oracles apply the same rule
-to the same records, so every runner names the same reason and S.
+_assemble builds every runner's trace, the oracles' too, from the K
+module records of each update and judges divergence from them alone:
+divergence_reason names the first update that offends and the trace
+ends there, so every runner names the same reason and S.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_finite_nonneg
 from .net import (LOSS_KINDS, init_states, layer_backward, layer_forward,
                   loss_and_grad)
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
@@ -72,10 +73,12 @@ def schedule_position(b: int, k: int, K: int):
 Message = namedtuple("Message", "batch_index payload target",
                      defaults=(None,))
 # One module's update: the squared norm of its averaged gradient, its
-# provenance Slots j = 0..M-1 and, with record_grads, the flat gradient.
-# Module K adds the loss of the group-closing batch and the group's first
-# offending (batch, loss), or None.
-WorkerUpdate = namedtuple("WorkerUpdate", "sumsq slots avg_flat loss bad_loss",
+# provenance Slots j = 0..M-1, with record_params its new parameter list
+# and with record_grads its averaged-gradient list.  Module K adds the
+# loss of the group-closing batch and the group's first offending
+# (batch, loss), or None.
+WorkerUpdate = namedtuple("WorkerUpdate",
+                          "sumsq slots params grads loss bad_loss",
                           defaults=(None, None))
 
 
@@ -136,8 +139,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.ga_steps < 1 or self.updates < 1 or self.batch_size < 1:
             raise ConfigError("ga_steps, updates and batch_size must be >= 1")
-        if not self.init_scale >= 0:
-            raise ConfigError(f"init_scale must be >= 0, got {self.init_scale}")
+        check_finite_nonneg("init_scale", self.init_scale, ConfigError)
 
     @property
     def sampler_seed(self) -> int:
@@ -165,6 +167,7 @@ class ModuleWorker:
         self.layer_range = cfg.partition.layers_of(k)
         self.specs = [cfg.layers[i] for i in self.layer_range]
         self.params = [states[i].params for i in self.layer_range]
+        self.params0 = self.params if cfg.record_params else None  # history
         self.velocity = None
         self.version = 0
         self.snapshots = {0: self.params}
@@ -221,29 +224,24 @@ class ModuleWorker:
         return g
 
     def _update(self, u: int):
-        s = self.version
-        lr = lr_at(self.cfg.schedule, s)
+        cfg = self.cfg
         slots = list(self.acc.slots)
         self.params, self.velocity, avg = ga_update(
-            self.params, self.acc, lr, self.cfg.sgd, self.velocity)
+            self.params, self.acc, lr_at(cfg.schedule, self.version), cfg.sgd,
+            self.velocity)
         self.acc.reset()
-        sumsq = grads_sumsq(avg)
-        avg_flat = np.concatenate([a.ravel() for a in avg]) \
-            if self.cfg.record_grads else None
-        if self.k == self.K:
-            rec = WorkerUpdate(sumsq, slots, avg_flat, self._loss,
-                               self._bad_loss)
-            self._bad_loss = None
-        else:
-            rec = WorkerUpdate(sumsq, slots, avg_flat)
-        self.update_records.append(rec)
+        # _loss and _bad_loss are only ever set in module K
+        self.update_records.append(WorkerUpdate(
+            grads_sumsq(avg), slots,
+            self.params if cfg.record_params else None,
+            avg if cfg.record_grads else None, self._loss, self._bad_loss))
+        self._bad_loss = None
         self.version += 1
         self.snapshots[self.version] = self.params
-        if not self.cfg.record_params:
-            # the oldest version a backward of a later slot reads
-            oldest = (u + 1 - self.two_delta) // self.cfg.ga_steps
-            for v in [v for v in self.snapshots if v < oldest]:
-                del self.snapshots[v]
+        # the oldest version a backward of a later slot reads
+        oldest = (u + 1 - self.two_delta) // cfg.ga_steps
+        for v in [v for v in self.snapshots if v < oldest]:
+            del self.snapshots[v]
         if self.events is not None:
             self.events.append(
                 TickEvent(u + self.k - 1, self.k, "update", self.version))
@@ -289,17 +287,27 @@ def _check_dataset(cfg: TrainConfig, dataset: Dataset):
             f"{cfg.layers[0].in_dim}")
 
 
-def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
-    """Build the trace.  The first update divergence_reason names ends it;
-    events after module K closed that update are dropped."""
+def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,
+              events=None, wall: float = 0.0) -> RunTrace:
+    """Build any runner's trace from groups, which yields each update's K
+    WorkerUpdate records in module order, and from params0, version 0's
+    parameter list under record_params.  The first update
+    divergence_reason names ends the trace and groups is not read past
+    it; events, a pipeline's TickEvents or None, are cut there too."""
     K, M = cfg.K, cfg.ga_steps
     updates, reason = [], None
-    for s, recs in enumerate(zip(*(w.update_records for w in workers))):
+    params = [np.concatenate(params0)] if cfg.record_params else None
+    grads = [] if cfg.record_grads else None
+    for s, recs in enumerate(groups):
         top = recs[-1]
         sumsqs = [r.sumsq for r in recs]
         updates.append(UpdateRecord(
             s, M * (s + 1) + K - 2, top.loss, global_grad_norm(sumsqs),
-            {w.k: r.slots for w, r in zip(workers, recs)}))
+            {k: r.slots for k, r in enumerate(recs, 1)}))
+        if params is not None:
+            params.append(np.concatenate([p for r in recs for p in r.params]))
+        if grads is not None:
+            grads.append(np.concatenate([g for r in recs for g in r.grads]))
         reason = divergence_reason(s, top.bad_loss, sumsqs,
                                    cfg.divergence_limit)
         if reason:
@@ -307,21 +315,13 @@ def _assemble(cfg: TrainConfig, workers, mode: str, wall: float) -> RunTrace:
     diverged = reason is not None
     trace = RunTrace(mode, K, M, updates, diverged=diverged,
                      divergence_reason=reason, wall_time=wall)
-    if cfg.record_params and not diverged:
-        trace.params = [
-            np.concatenate([p.ravel() for w in workers
-                            for p in w.snapshots[v]] or [np.zeros(0)])
-            for v in range(len(updates) + 1)]
-    if cfg.record_grads and not diverged:
-        trace.grads = [
-            np.concatenate([w.update_records[s].avg_flat for w in workers])
-            for s in range(len(updates))]
-    if cfg.trace_ticks:
+    if not diverged:
+        trace.params, trace.grads = params, grads
+    if events is not None:
         last = updates[-1].tick if diverged else math.inf
         order = {"forward": 0, "backward": 1, "update": 2}
-        evs = [e for w in workers for e in w.events if e.tick <= last]
-        trace.events = sorted(evs, key=lambda e: (e.tick, e.module,
-                                                  order[e.kind]))
+        trace.events = sorted((e for e in events if e.tick <= last),
+                              key=lambda e: (e.tick, e.module, order[e.kind]))
     return trace
 
 
@@ -363,13 +363,21 @@ def _edges(K: int, make) -> dict:
             for e in ((k, k + 1), (k + 1, k))}
 
 
-def _check_drained(workers, edges: dict):
+def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
+            wall: float) -> RunTrace:
+    """Check that every edge and worker drained; assemble the trace."""
     for (a, b), edge in edges.items():
         if len(edge):
             raise ProtocolError(
                 f"edge {a}->{b} ended with {len(edge)} unread messages")
     for w in workers:
         w.check_drained()
+    params0 = [p for w in workers for p in w.params0] \
+        if cfg.record_params else None
+    events = [e for w in workers for e in w.events] \
+        if cfg.trace_ticks else None
+    return _assemble(cfg, mode, zip(*(w.update_records for w in workers)),
+                     params0, events, wall)
 
 
 class _Fifo(list):
@@ -399,8 +407,7 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                 u = tick - (w.k - 1)
                 if 0 <= u < MS:
                     feed_slot(w, u, edges, cfg, dataset)
-    _check_drained(workers, edges)
-    return _assemble(cfg, workers, "adl-clocked", sw.elapsed)
+    return _finish(cfg, workers, edges, "adl-clocked", sw.elapsed)
 
 
 class _Stopped(Exception):
@@ -478,5 +485,4 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
             t.join()
     if errors:
         raise errors[min(errors)]
-    _check_drained(workers, edges)
-    return _assemble(cfg, workers, "adl-parallel", sw.elapsed)
+    return _finish(cfg, workers, edges, "adl-parallel", sw.elapsed)

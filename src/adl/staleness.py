@@ -42,19 +42,6 @@ def _check_module_args(s, j, K, k, M):
     return s, j, K, k, M
 
 
-def level_of_staleness(t: int, d: int, M: int) -> int:
-    """Number of parameter updates between batch t-d and batch t under
-    wrapped indexing U_s = M*s: floor(t/M) - floor((t-d)/M)."""
-    t = _check_int("t", t)
-    d = _check_int("d", d)
-    M = _check_int("M", M)
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
-    if d < 0 or t < d:
-        raise DomainError(f"need t >= d >= 0, got t={t}, d={d}")
-    return t // M - (t - d) // M
-
-
 def module_staleness(s: int, j: int, K: int, k: int, M: int) -> int:
     """Update-count staleness of the j-th gradient of update s+1 in module k:
     s - floor((M*s + j - 2*(K-k)) / M).  Clamped below at 0."""

@@ -71,6 +71,24 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"partition": {"boundaries": "1", "strategy": "bogus"}},
      "unknown partition strategy"),
     ({"model": {"init_scale": "-1"}}, "init_scale must be >= 0"),
+    ({"model": {"init_scale": "inf"}}, "init_scale must be >= 0 and finite"),
+    ({"optimizer": {"lr": "nan"}}, "learning rate must be >= 0 and finite"),
+    ({"optimizer": {"lr": "inf"}}, "learning rate must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "harmonic", "harmonic_c": "nan"}},
+     "harmonic c must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "warmup_epochs": "-3"}},
+     "warmup_epochs must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "warmup_epochs": "nan"}},
+     "warmup_epochs must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "milestones": "3,1"}},
+     "milestones must not decrease"),
+    ({"optimizer": {"schedule": "step", "milestones": "nan"}},
+     "milestone must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "decay_factor": "-1"}},
+     "decay factor must be >= 0 and finite"),
+    ({"optimizer": {"weight_decay": "nan"}},
+     "weight decay must be >= 0 and finite"),
+    ({"data": {"noise_std": "nan"}}, "noise_std must be >= 0 and finite"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)

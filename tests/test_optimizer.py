@@ -45,6 +45,11 @@ def test_update_requires_full_group():
         ga_update([np.array([0.0])], acc, 0.1, SgdConfig())
 
 
+def test_ga_update_rejects_nan_rate():
+    with pytest.raises(DomainError):
+        ga_update([np.array([0.0])], acc_of(0.2), float("nan"), SgdConfig())
+
+
 def test_ga_update_example():
     # theta=1, lr=0.1, grads 0.2 and 0.4 averaged over M=2 -> 0.97
     acc = acc_of(0.2, 0.4)

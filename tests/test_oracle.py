@@ -185,6 +185,24 @@ def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):
     assert calls == {"sample_batch": list(range(12)), "net_forward": 12}
 
 
+@pytest.mark.parametrize("K,M", [(2, 1), (3, 4)])
+def test_diverging_replay_stops_at_the_diverging_update(K, M, spiral_case,
+                                                        monkeypatch):
+    # the replay streams each update's records to _assemble, which reads
+    # no further once divergence_reason names one
+    calls = []
+
+    def forward(*args):
+        calls.append(1)
+        return net.net_forward(*args)
+
+    monkeypatch.setattr(oracle, "net_forward", forward)
+    cfg, ds = spiral_case(K, M, S=60, lr=2000.0)
+    trace = delayed_replay(cfg, ds)
+    assert trace.diverged and trace.S < 60
+    assert len(calls) == M * trace.S
+
+
 @pytest.mark.parametrize("runner,K", [(sync_ga_sgd, 1), (delayed_replay, 3)])
 def test_oracles_evaluate_the_loss_once_per_batch(runner, K, spiral_case,
                                                   monkeypatch):

@@ -1,4 +1,6 @@
 """Pipeline schedule, provenance, and the clocked runner."""
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +131,27 @@ def test_update_ticks_and_counts(ident_case, monkeypatch):
     assert [rec.tick for rec in trace.updates] == [
         M * (s + 1) + K - 2 for s in range(S)]
     assert all(set(rec.slots) == {1, 2, 3} for rec in trace.updates)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("K,M", list(itertools.product((2, 3, 4), (1, 2, 4))))
+def test_snapshot_ring_does_not_depend_on_recording(K, M, record, spiral_case,
+                                                    monkeypatch):
+    # module k holds the versions its later backwards read, at most
+    # ceil(2(K-k)/M) + 1, whether or not the history is recorded
+    high, process_slot = {}, scheduler.ModuleWorker.process_slot
+
+    def counted(worker, *args):
+        out = process_slot(worker, *args)
+        high[worker.k] = max(high.get(worker.k, 0), len(worker.snapshots))
+        return out
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", counted)
+    cfg, ds = spiral_case(K, M, S=12, record_params=record)
+    trace = run_clocked(cfg, ds)
+    assert high == {k: math.ceil(2 * (K - k) / M) + 1
+                    for k in range(1, K + 1)}
+    assert len(trace.params or ()) == (13 if record else 0)
 
 
 def test_tick_events_example(ident_case):

@@ -16,21 +16,6 @@ query = st.tuples(st.integers(0, 60),    # s
 
 # ---------------------------------------------------------------- LoS core
 
-def test_level_of_staleness_examples():
-    assert stale.level_of_staleness(7, 3, 2) == 1
-    assert stale.level_of_staleness(5, 0, 4) == 0
-    assert stale.level_of_staleness(10, 10, 1) == 10
-
-
-def test_level_of_staleness_domain():
-    with pytest.raises(DomainError):
-        stale.level_of_staleness(3, 4, 1)
-    with pytest.raises(DomainError):
-        stale.level_of_staleness(3, -1, 1)
-    with pytest.raises(DomainError):
-        stale.level_of_staleness(3, 1, 0)
-
-
 def test_module_staleness_group_pattern():
     # K=3, k=2, M=4: the four slots of any steady update see delays 1,1,0,0
     got = [stale.module_staleness(1, j, 3, 2, 4) for j in range(4)]
