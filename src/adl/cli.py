@@ -29,7 +29,7 @@ from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
                         scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
 from .partition import Partition, partition_by_params, partition_even
-from .scheduler import TrainConfig, run_clocked, run_parallel
+from .scheduler import TrainConfig, _check_dataset, run_clocked, run_parallel
 from .staleness import (_check_pos, _staleness_factor, averaged_los,
                         averaged_los_sum, theorem1_rhs, theorem2_rhs,
                         theorem3_bound, theorem3_lr)
@@ -166,12 +166,13 @@ def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
         return Harmonic(c)
     if name == "step":
         warmup_epochs = _get(conf, "optimizer", "warmup_epochs", 0.0)
-        check_finite_nonneg("warmup_epochs", warmup_epochs)  # before round()
+        check_finite_nonneg("warmup_epochs", warmup_epochs)
         factor = _get(conf, "optimizer", "decay_factor", 0.1)
         milestones = _get(conf, "optimizer", "milestones", ())
         bpe = math.ceil(dataset.n / batch_size)
-        warmup_updates = round(warmup_epochs * bpe / M)
-        return StepDecay(base_lr(), warmup_updates, milestones, factor, M, bpe)
+        warmup = warmup_epochs * bpe / M
+        check_finite_nonneg("warm-up in updates", warmup)  # before round()
+        return StepDecay(base_lr(), round(warmup), milestones, factor, M, bpe)
     if name == "theorem3":
         eps = _get(conf, "optimizer", "epsilon", 1.0)
         gap = _get(conf, "optimizer", "gap", required=True)
@@ -186,34 +187,13 @@ def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
     raise ConfigError(f"unknown schedule {name!r}")
 
 
-def _check_model_vs_data(specs, loss, dataset):
-    if specs[0].in_dim != dataset.dim:
-        raise ConfigError(f"first layer in_dim {specs[0].in_dim} != "
-                          f"dataset dim {dataset.dim}")
-    if loss == net.MSE:
-        if dataset.kind != data_mod.REGRESSION:
-            raise ConfigError("mse loss needs a regression dataset")
-        if specs[-1].out_dim != dataset.targets.shape[1]:
-            raise ConfigError("final layer out_dim != target dim")
-    else:
-        if dataset.kind != data_mod.CLASSIFICATION:
-            raise ConfigError("softmax_ce loss needs a classification dataset")
-        n_classes = int(dataset.targets.max()) + 1
-        if specs[-1].out_dim < n_classes:
-            raise ConfigError(f"final layer out_dim {specs[-1].out_dim} < "
-                              f"{n_classes} classes")
-
-
 def build_run(parser, warn) -> tuple:
     """(mode, TrainConfig, dataset, out_dir, trace_level) from parsed INI."""
     conf = _parse(parser)
     specs = _get(conf, "model", "layers", required=True)
     loss = _get(conf, "model", "loss", required=True)
-    if loss not in net.LOSS_KINDS:
-        raise ConfigError(f"unknown loss {loss!r}")
     init_scale = _get(conf, "model", "init_scale", 1.0)
     dataset = _build_dataset(conf)
-    _check_model_vs_data(specs, loss, dataset)
     part = _build_partition(conf, len(specs), specs)
     M = _get(conf, "optimizer", "ga_steps", 1)
     S = _get(conf, "optimizer", "updates", required=True)
@@ -230,25 +210,20 @@ def build_run(parser, warn) -> tuple:
     if trace_level not in ("updates", "ticks"):
         raise ConfigError(f"trace_level must be updates|ticks, got {trace_level!r}")
     out = _get(conf, "run", "out")
-    try:
-        cfg = TrainConfig(specs, part, loss, M, batch_size, S, schedule,
-                          SgdConfig(momentum, decay), seed=seed,
-                          init_scale=init_scale,
-                          trace_ticks=(trace_level == "ticks"))
-    except AdlError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = TrainConfig(specs, part, loss, M, batch_size, S, schedule,
+                      SgdConfig(momentum, decay), seed=seed,
+                      init_scale=init_scale,
+                      trace_ticks=(trace_level == "ticks"))
+    _check_dataset(cfg, dataset)
     if momentum != 0.0 or decay != 0.0:
         warn(f"momentum={momentum} weight_decay={decay}: the convergence "
              f"bounds assume plain SGD (momentum 0, weight decay 0)")
     return mode, cfg, dataset, out, trace_level
 
 
-def cmd_run(args, out_stream=None, err_stream=None) -> int:
-    out_stream = out_stream or sys.stdout
-    err_stream = err_stream or sys.stderr
-
+def cmd_run(args) -> int:
     def warn(msg):
-        print(f"warning: {msg}", file=err_stream)
+        print(f"warning: {msg}", file=sys.stderr)
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not parser.read(args.config):
@@ -261,18 +236,15 @@ def cmd_run(args, out_stream=None, err_stream=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = _RUNNERS[mode](cfg, dataset)
     write_csv(trace, out_dir / "trace.csv")
-    predicted = {k: averaged_los(trace.K, k, cfg.ga_steps)
-                 for k in range(1, trace.K + 1)}
-    text = summary_text(trace, predicted)
+    text = summary_text(trace)
     (out_dir / "summary.txt").write_text(text)
     if trace.events is not None:
         write_events_csv(trace, out_dir / "events.csv")
-    out_stream.write(text)
+    sys.stdout.write(text)
     return 3 if trace.diverged else 0
 
 
-def cmd_staleness_table(args, out_stream=None) -> int:
-    out_stream = out_stream or sys.stdout
+def cmd_staleness_table(args) -> int:
     K = args.modules
     ms = args.ga_steps
     header = " k   " + "".join(f"M={m:<8}" for m in ms)
@@ -288,12 +260,11 @@ def cmd_staleness_table(args, out_stream=None) -> int:
         "averages 2*(K-1) updates of delay.  A commonly quoted figure for the\n"
         "first module is 2*K, which also counts the module's own in-flight\n"
         "forward/backward pair; the group arithmetic used here does not.")
-    out_stream.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_bounds(args, out_stream=None) -> int:
-    out_stream = out_stream or sys.stdout
+def cmd_bounds(args) -> int:
     K, M = args.modules, args.ga_steps
     dbar = float(averaged_los_sum(K, M))  # also rejects K < 1 and M < 1
     if args.dbar_sum is not None:
@@ -321,16 +292,15 @@ def cmd_bounds(args, out_stream=None) -> int:
         ok = args.smoothness * lr <= 1.0
         lines.append(f"theorem3_lr: {lr!r} (L*lr <= 1: {ok})")
         lines.append(f"theorem3_bound: {bound!r}")
-    out_stream.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_compare(args, out_stream=None) -> int:
-    out_stream = out_stream or sys.stdout
+def cmd_compare(args) -> int:
     a = read_csv(args.trace_a)
     b = read_csv(args.trace_b)
     report = compare_traces(a, b, args.tol)
-    out_stream.write(report.text())
+    sys.stdout.write(report.text())
     return 0 if report.passed else 1
 
 

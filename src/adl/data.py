@@ -43,6 +43,7 @@ def gen_linreg(n: int, dim: int, noise_std: float, seed: int) -> Dataset:
     if n < 1 or dim < 1:
         raise ConfigError("linreg needs n >= 1 and dim >= 1")
     check_finite_nonneg("noise_std", noise_std, ConfigError)
+    check_finite_nonneg("dataset seed", seed, ConfigError)
     rng = np.random.default_rng(seed)
     w_star = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
     x = rng.normal(0.0, 1.0, size=(n, dim))
@@ -59,6 +60,7 @@ def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
     if n < 2:
         raise ConfigError("two_spirals needs n >= 2")
     check_finite_nonneg("noise_std", noise_std, ConfigError)
+    check_finite_nonneg("dataset seed", seed, ConfigError)
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
     labels[1::2] = 1  # alternate so counts differ by at most 1

@@ -116,8 +116,10 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
 
 
 def grads_sumsq(grads) -> float:
-    """Sum of squared entries across a list of flat arrays, fixed order."""
-    return sum(float(np.dot(g, g)) for g in grads)
+    """Sum of squared entries across a list of flat arrays, fixed order.
+    einsum, unlike np.dot, does not go through BLAS, so the bits do not
+    depend on the BLAS thread count."""
+    return sum(float(np.einsum("i,i->", g, g)) for g in grads)
 
 
 def global_grad_norm(module_sumsqs) -> float:
@@ -175,10 +177,9 @@ class StepDecay:
                               f"{self.milestones_epochs}")
 
 
-def scaled_base_lr(batch_size: int, ga_steps: int, ref_lr: float = 0.1,
-                   ref_batch: int = 256) -> float:
+def scaled_base_lr(batch_size: int, ga_steps: int) -> float:
     """Linear-scaling rule for the effective batch b*M: 0.1 * b*M / 256."""
-    return ref_lr * batch_size * ga_steps / ref_batch
+    return 0.1 * batch_size * ga_steps / 256
 
 
 def lr_at(schedule, s: int) -> float:

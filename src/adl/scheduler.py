@@ -46,10 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, sample_batch
+from .data import CLASSIFICATION, REGRESSION, Dataset, sample_batch
 from .errors import ConfigError, ProtocolError, check_finite_nonneg
-from .net import (LOSS_KINDS, init_states, layer_backward, layer_forward,
-                  loss_and_grad)
+from .net import (LOSS_KINDS, MSE, init_states, layer_backward,
+                  layer_forward, loss_and_grad)
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
@@ -140,6 +140,7 @@ class TrainConfig:
         if self.ga_steps < 1 or self.updates < 1 or self.batch_size < 1:
             raise ConfigError("ga_steps, updates and batch_size must be >= 1")
         check_finite_nonneg("init_scale", self.init_scale, ConfigError)
+        check_finite_nonneg("seed", self.seed, ConfigError)
 
     @property
     def sampler_seed(self) -> int:
@@ -281,10 +282,25 @@ def build_workers(cfg: TrainConfig):
 
 
 def _check_dataset(cfg: TrainConfig, dataset: Dataset):
-    if dataset.dim != cfg.layers[0].in_dim:
-        raise ConfigError(
-            f"dataset dim {dataset.dim} != first layer in_dim "
-            f"{cfg.layers[0].in_dim}")
+    """The one model-data check of every runner and of `adl run`: the
+    first layer reads the inputs, and the loss and the last layer fit
+    the dataset's kind and targets."""
+    first, last = cfg.layers[0], cfg.layers[-1]
+    if first.in_dim != dataset.dim:
+        raise ConfigError(f"first layer in_dim {first.in_dim} != "
+                          f"dataset dim {dataset.dim}")
+    if cfg.loss == MSE:
+        if dataset.kind != REGRESSION:
+            raise ConfigError("mse loss needs a regression dataset")
+        if dataset.targets.shape[1:] != (last.out_dim,):
+            raise ConfigError("final layer out_dim != target dim")
+    else:
+        if dataset.kind != CLASSIFICATION:
+            raise ConfigError("softmax_ce loss needs a classification dataset")
+        n_classes = int(dataset.targets.max()) + 1
+        if last.out_dim < n_classes:
+            raise ConfigError(f"final layer out_dim {last.out_dim} < "
+                              f"{n_classes} classes")
 
 
 def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,

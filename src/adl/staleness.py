@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite_nonneg
 
 
 def _check_int(name, v):
@@ -94,8 +94,7 @@ def _staleness_factor(M, dbar_sum) -> float:
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     dbar_sum = float(dbar_sum)
-    if dbar_sum < 0:
-        raise DomainError(f"summed averaged staleness must be >= 0, got {dbar_sum}")
+    check_finite_nonneg("summed averaged staleness", dbar_sum)
     return 1.0 + dbar_sum / M
 
 
@@ -108,12 +107,10 @@ def theorem1_rhs(lr: float, grad_norm_sq: float, A: float, L: float,
     Requires L*lr <= 1.
     """
     lr = float(lr)
-    if lr < 0:
-        raise DomainError(f"learning rate must be >= 0, got {lr}")
+    check_finite_nonneg("learning rate", lr)
     A = _check_pos("A", A)
     L = _check_pos("L", L)
-    if float(grad_norm_sq) < 0:
-        raise DomainError("grad_norm_sq must be >= 0")
+    check_finite_nonneg("grad_norm_sq", float(grad_norm_sq))
     if L * lr > 1.0 + 1e-12:
         raise DomainError(f"requires L*lr <= 1, got {L * lr}")
     factor = _staleness_factor(M, dbar_sum)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ComparisonError
 from .optimizer import Slot
+from .staleness import averaged_los
 
 CSV_COLUMNS = ("s", "tick", "loss", "grad_norm", "module", "j",
                "batch_index", "version_used", "d_kj")
@@ -148,8 +149,9 @@ def observed_averaged_los(trace: RunTrace, k: int):
     return None
 
 
-def summary_text(trace: RunTrace, predicted_dbar=None) -> str:
-    """Human-readable run summary; predicted_dbar maps module -> Fraction."""
+def summary_text(trace: RunTrace) -> str:
+    """Human-readable run summary; each module's observed averaged
+    staleness stands next to the exact averaged_los prediction."""
     lines = [
         f"mode: {trace.mode}",
         f"modules: {trace.K}",
@@ -164,13 +166,9 @@ def summary_text(trace: RunTrace, predicted_dbar=None) -> str:
         lines.append(f"final_grad_norm: {_fmt(trace.final_grad_norm())}")
     for k in range(1, trace.K + 1):
         obs = observed_averaged_los(trace, k)
-        pred = predicted_dbar.get(k) if predicted_dbar else None
-        obs_s = str(obs) if obs is not None else "n/a"
-        if pred is not None:
-            lines.append(f"module_{k}_avg_staleness: observed={obs_s} "
-                         f"predicted={pred}")
-        else:
-            lines.append(f"module_{k}_avg_staleness: observed={obs_s}")
+        lines.append(f"module_{k}_avg_staleness: "
+                     f"observed={'n/a' if obs is None else obs} "
+                     f"predicted={averaged_los(trace.K, k, trace.M)}")
     return "\n".join(lines) + "\n"
 
 

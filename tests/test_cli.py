@@ -89,6 +89,10 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"optimizer": {"weight_decay": "nan"}},
      "weight decay must be >= 0 and finite"),
     ({"data": {"noise_std": "nan"}}, "noise_std must be >= 0 and finite"),
+    ({"run": {"seed": "-1"}}, "seed must be >= 0 and finite"),
+    ({"data": {"seed": "-4"}}, "dataset seed must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "warmup_epochs": "1e308"}},
+     "warm-up in updates must be >= 0 and finite"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)
@@ -246,7 +250,15 @@ def test_bounds_domain_error_exit_2(capsys):
             ["bounds", "--modules", "2", "--ga-steps", "1",
              "--grad-bound", "1", "--smoothness", "inf"],
             ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
-             "--dbar-sum", "-5"]):
+             "--dbar-sum", "-5"],
+            ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+             "--dbar-sum", "nan"],
+            ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+             "--dbar-sum", "inf"],
+            ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+             "--lr", "nan", "--grad-norm-sq", "1"],
+            ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+             "--lr", "0.1", "--grad-norm-sq", "nan"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err and not captured.out, argv

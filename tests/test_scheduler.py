@@ -1,7 +1,11 @@
 """Pipeline schedule, provenance, and the clocked runner."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,14 @@ from adl import net
 from adl.errors import ConfigError
 from adl.optimizer import ConstantLr, SgdConfig
 from adl.partition import partition_even
-from adl.scheduler import TrainConfig, run_clocked, schedule_position
+from adl.oracle import delayed_replay, sync_ga_sgd
+from adl.scheduler import (TrainConfig, run_clocked, run_parallel,
+                           schedule_position)
 from adl.staleness import effective_version, module_staleness
-from adl.trace import compare_traces
+from adl.trace import compare_traces, read_csv
 from adl import data, scheduler
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def earliest_ticks(K, max_batch):
@@ -277,3 +285,46 @@ def test_config_validation():
                       ConstantLr(0.1))
     with pytest.raises(ConfigError):
         run_clocked(cfg, data.gen_linreg(8, 5, 0.0, 0))
+    # every runner checks the loss and the head against the dataset
+    spirals = data.gen_two_spirals(8, 0.0, 0)
+    mse = replace(cfg, partition=partition_even(2, 2))
+    one_output = replace(mse, loss=net.SOFTMAX_CE)  # two classes
+    for bad in (mse, one_output):
+        for runner in (run_clocked, run_parallel, delayed_replay,
+                       sync_ga_sgd):
+            with pytest.raises(ConfigError):
+                runner(bad, spirals)
+
+
+# Trains one width-256 network (a 65,792-entry layer gradient) and writes
+# its trace to argv[1].
+_WIDE_RUN = """
+import sys
+from adl import data, net
+from adl.optimizer import ConstantLr
+from adl.partition import partition_even
+from adl.scheduler import TrainConfig, run_clocked
+from adl.trace import write_csv
+layers = [net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
+          net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
+          net.affine(256, 1)]
+cfg = TrainConfig(layers, partition_even(5, 2), net.MSE, 1, 64, 12,
+                  ConstantLr(0.01), seed=3)
+write_csv(run_clocked(cfg, data.gen_linreg(512, 256, 0.1, 5)), sys.argv[1])
+"""
+
+
+def test_trace_bits_do_not_depend_on_blas_threads(tmp_path):
+    traces = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        path = tmp_path / f"blas{threads}.csv"
+        done = subprocess.run([sys.executable, "-c", _WIDE_RUN, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        traces.append(read_csv(path))
+    report = compare_traces(*traces, tol=0.0)
+    assert report.passed, report.text()

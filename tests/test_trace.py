@@ -1,6 +1,5 @@
 """CSV round-trips, summaries, and observed-staleness extraction."""
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -103,7 +102,7 @@ def test_observed_staleness_none_before_steady(spiral_case):
 def test_summary_text_fields(spiral_case):
     cfg, ds = spiral_case(2, 2, S=5)
     trace = run_clocked(cfg, ds)
-    text = summary_text(trace, {1: averaged_los(2, 1, 2), 2: Fraction(0)})
+    text = summary_text(trace)
     assert "mode: adl-clocked" in text
     assert "updates_completed: 5" in text
     assert "module_1_avg_staleness: observed=1 predicted=1" in text
