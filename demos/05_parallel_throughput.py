@@ -7,6 +7,12 @@ K modules' numpy work can overlap.  The traces stay bit-identical
 enough cores the ideal speedup approaches K; queue handoffs, the
 pipeline fill/drain, and Python-side overhead eat part of it.
 
+While it runs, `run_parallel` splits numpy's bundled OpenBLAS threads
+among the modules: its n BLAS threads become max(1, n // K), so with
+these K = 4 modules and n = 8 each module thread's matmuls run on 2
+BLAS threads, and with n <= 4 on 1, instead of each module starting
+all n.  n is restored when the run ends.
+
 On a single-core machine this demo still runs, but expect little of
 the speedup to survive — the threads mostly take turns.
 

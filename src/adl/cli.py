@@ -29,7 +29,8 @@ from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
                         scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
 from .partition import Partition, partition_by_params, partition_even
-from .scheduler import TrainConfig, _check_dataset, run_clocked, run_parallel
+from .scheduler import (TrainConfig, _check_counts, _check_dataset,
+                        run_clocked, run_parallel)
 from .staleness import (_check_pos, _staleness_factor, averaged_los,
                         averaged_los_sum, theorem1_rhs, theorem2_rhs,
                         theorem3_bound, theorem3_lr)
@@ -200,6 +201,7 @@ def build_run(parser, warn) -> tuple:
     batch_size = _get(conf, "optimizer", "batch_size", required=True)
     momentum = _get(conf, "optimizer", "momentum", 0.0)
     decay = _get(conf, "optimizer", "weight_decay", 0.0)
+    _check_counts(M, S, batch_size)  # before the schedule divides by them
     schedule = _build_schedule(conf, dataset, M, batch_size, S, part.K, warn)
     mode = _get(conf, "run", "mode", required=True)
     if mode not in _RUNNERS:

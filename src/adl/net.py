@@ -144,19 +144,21 @@ def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
     return x, x  # identity
 
 
-def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout):
+def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout,
+                   input_grad: bool = True):
     """Return (param_grad, input_grad) given the upstream gradient gout.
 
     param_grad uses the same flat packing as params; a parameterless layer
     returns a shared read-only empty array.  The relu derivative at
-    exactly 0 is taken to be 0.
+    exactly 0 is taken to be 0.  With input_grad false an affine layer
+    skips its input gradient and returns None for it.
     """
     if spec.kind == AFFINE:
         w, _ = _unpack_affine(spec, params)
         x = intermediate
         gw = gout.T @ x
         gb = gout.sum(axis=0)
-        gx = gout @ w
+        gx = gout @ w if input_grad else None
         return np.concatenate([gw.ravel(), gb.ravel()]), gx
     if spec.kind == TANH:
         y = intermediate
@@ -212,17 +214,18 @@ def net_forward(specs, params, x, loss_kind: str, target):
     return loss, NetContext(intermediates, h, dpred)
 
 
-def net_backward(specs, params, ctx: NetContext):
+def net_backward(specs, params, ctx: NetContext, input_grad: bool = True):
     """Backpropagate ctx.dpred through the whole network.
 
     Returns (param_grads, input_grad) where param_grads is one flat array
-    per layer, in layer order.
+    per layer, in layer order; input_grad false is passed to layer 0.
     """
     g = ctx.dpred
     param_grads = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
         param_grads[i], g = layer_backward(specs[i], params[i],
-                                           ctx.intermediates[i], g)
+                                           ctx.intermediates[i], g,
+                                           i > 0 or input_grad)
     return param_grads, g
 
 

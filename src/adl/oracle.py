@@ -84,7 +84,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         the update that reads it.  Returns the loss."""
         x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
-        grads, _ = net_backward(cfg.layers, params, ctx)
+        grads, _ = net_backward(cfg.layers, params, ctx, False)
         for k in range(1, K + 1):
             u = (t + 2 * (K - k)) // M
             if u < S:

@@ -37,12 +37,15 @@ ends there, so every runner names the same reason and S.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import queue
 import threading
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -108,6 +111,13 @@ def divergence_reason(s: int, bad_loss, sumsqs, limit: float):
     return None
 
 
+def _check_counts(ga_steps: int, updates: int, batch_size: int):
+    """TrainConfig's count check; `adl run` makes it before it builds a
+    schedule from these counts."""
+    if ga_steps < 1 or updates < 1 or batch_size < 1:
+        raise ConfigError("ga_steps, updates and batch_size must be >= 1")
+
+
 @dataclass
 class TrainConfig:
     layers: list
@@ -137,8 +147,7 @@ class TrainConfig:
             raise ConfigError("partition does not cover the layer stack")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.ga_steps < 1 or self.updates < 1 or self.batch_size < 1:
-            raise ConfigError("ga_steps, updates and batch_size must be >= 1")
+        _check_counts(self.ga_steps, self.updates, self.batch_size)
         check_finite_nonneg("init_scale", self.init_scale, ConfigError)
         check_finite_nonneg("seed", self.seed, ConfigError)
 
@@ -216,8 +225,10 @@ class ModuleWorker:
         grads = [None] * len(self.specs)
         g = gout
         for i in range(len(self.specs) - 1, -1, -1):
+            # module 1's input gradient has no reader
             grads[i], g = layer_backward(self.specs[i], sparams[i],
-                                         intermediates[i], g)
+                                         intermediates[i], g,
+                                         i > 0 or self.k > 1)
         self.acc.add(grads, t_b, version)
         if self.events is not None:
             tick = t_b + self.two_delta + self.k - 1
@@ -463,6 +474,40 @@ class _Edge:
         return self._wait(self.q.get, "empty")
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled scipy-openblas,
+    or None if this numpy has none."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = (lib.scipy_openblas_get_num_threads64_,
+                        lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        put.argtypes = [ctypes.c_int]
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_share(K: int):
+    """Run the block with numpy's n OpenBLAS threads cut to one module
+    thread's share, max(1, n // K); restore n afterwards."""
+    blas = _openblas()
+    n = blas[0]() if blas else 1
+    share = max(1, n // K)
+    if share == n:
+        yield
+        return
+    blas[1](share)
+    try:
+        yield
+    finally:
+        blas[1](n)
+
+
 def run_parallel(cfg: TrainConfig, dataset: Dataset,
                  deadlock_timeout: float = 60.0) -> RunTrace:
     """One thread per module, bounded FIFO edges, no global clock.
@@ -472,6 +517,13 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     identical operation sequence.  Every worker runs all its slots, so a
     run executes all S updates and the trace ends at the first offending
     update whatever the thread timing.  An error stops all workers.
+
+    While the workers run, numpy's bundled OpenBLAS runs max(1, n // K)
+    threads instead of its n, so the K workers share the cores rather
+    than each starting n BLAS threads; n is restored afterwards, also
+    when the run raises.  The setting is process-wide: numpy calls of
+    other threads see the reduced count while the run lasts.  A numpy
+    without bundled scipy-openblas is left alone.
     """
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
@@ -494,7 +546,7 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]
-    with StopWatch() as sw:
+    with _blas_share(cfg.K), StopWatch() as sw:
         for t in threads:
             t.start()
         for t in threads:

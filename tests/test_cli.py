@@ -93,6 +93,10 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"data": {"seed": "-4"}}, "dataset seed must be >= 0 and finite"),
     ({"optimizer": {"schedule": "step", "warmup_epochs": "1e308"}},
      "warm-up in updates must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "step", "batch_size": "0"}},
+     "ga_steps, updates and batch_size must be >= 1"),
+    ({"optimizer": {"schedule": "step", "ga_steps": "0"}},
+     "ga_steps, updates and batch_size must be >= 1"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)

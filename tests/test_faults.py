@@ -16,6 +16,12 @@ from adl import scheduler
 from adl.errors import ProtocolError
 
 
+def blas_threads():
+    """numpy's OpenBLAS thread count, or None without scipy-openblas."""
+    blas = scheduler._openblas()
+    return blas and blas[0]()
+
+
 def faulty(base, fault, target, nth=0):
     """`base` with message `nth` sent on edge `target` dropped, sent
     twice, or held back until after the next message."""
@@ -73,12 +79,13 @@ def test_parallel_reports_transport_faults_without_hanging(
     cfg, ds = spiral_case(2, 2, S=6)
     monkeypatch.setattr(scheduler, "_Edge",
                         faulty(scheduler._Edge, fault, edge, nth))
-    threads = threading.active_count()
+    threads, blas = threading.active_count(), blas_threads()
     start = time.perf_counter()
     with pytest.raises(ProtocolError):
         scheduler.run_parallel(cfg, ds, deadlock_timeout=1.0)
     assert time.perf_counter() - start < 1.0
     assert threading.active_count() == threads
+    assert blas_threads() == blas
 
 
 
@@ -87,12 +94,13 @@ def test_parallel_lost_last_message_trips_the_deadlock_timeout(
     cfg, ds = spiral_case(2, 2, S=6)
     monkeypatch.setattr(scheduler, "_Edge",
                         faulty(scheduler._Edge, *LOST_LAST[:3]))
-    threads = threading.active_count()
+    threads, blas = threading.active_count(), blas_threads()
     start = time.perf_counter()
     with pytest.raises(ProtocolError, match="deadlock: edge 2->1 empty"):
         scheduler.run_parallel(cfg, ds, deadlock_timeout=0.3)
     assert time.perf_counter() - start < 1.3
     assert threading.active_count() == threads
+    assert blas_threads() == blas
 
 
 def test_worker_rejects_a_slot_ahead_of_its_version(spiral_case):

@@ -120,6 +120,17 @@ def test_net_backward_matches_finite_differences(seed, random_net,
     assert grad_rel_error(analytic, numeric) < 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_net_backward_can_skip_the_input_gradient(seed, random_net):
+    specs, states, x, loss, target = random_net(seed)
+    _, ctx = net.net_forward(specs, states, x, loss, target)
+    full, _ = net.net_backward(specs, states, ctx)
+    grads, xgrad = net.net_backward(specs, states, ctx, False)
+    assert xgrad is None  # layer 0 of every random net is affine
+    for a, b in zip(grads, full):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_input_gradient_matches_finite_differences():
     spec = net.affine(3, 2)
     state = net.init_states([spec], seed=3)[0].params

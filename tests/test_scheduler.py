@@ -297,34 +297,65 @@ def test_config_validation():
 
 
 # Trains one width-256 network (a 65,792-entry layer gradient) and writes
-# its trace to argv[1].
+# its run_clocked trace to argv[1] and, given argv[2], its run_parallel
+# trace there.
 _WIDE_RUN = """
 import sys
 from adl import data, net
 from adl.optimizer import ConstantLr
 from adl.partition import partition_even
-from adl.scheduler import TrainConfig, run_clocked
+from adl.scheduler import TrainConfig, run_clocked, run_parallel
 from adl.trace import write_csv
 layers = [net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
           net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
           net.affine(256, 1)]
 cfg = TrainConfig(layers, partition_even(5, 2), net.MSE, 1, 64, 12,
                   ConstantLr(0.01), seed=3)
-write_csv(run_clocked(cfg, data.gen_linreg(512, 256, 0.1, 5)), sys.argv[1])
+ds = data.gen_linreg(512, 256, 0.1, 5)
+for runner, path in zip((run_clocked, run_parallel), sys.argv[1:]):
+    write_csv(runner(cfg, ds), path)
 """
 
 
 def test_trace_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the 2-thread child's run_parallel gives each module 1 BLAS thread
     traces = []
-    for threads in ("1", "2"):
+    for threads, runs in (("1", ["clocked"]), ("2", ["clocked", "parallel"])):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        path = tmp_path / f"blas{threads}.csv"
-        done = subprocess.run([sys.executable, "-c", _WIDE_RUN, str(path)],
+        paths = [str(tmp_path / f"blas{threads}-{run}.csv") for run in runs]
+        done = subprocess.run([sys.executable, "-c", _WIDE_RUN, *paths],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        traces.append(read_csv(path))
-    report = compare_traces(*traces, tol=0.0)
-    assert report.passed, report.text()
+        traces += [read_csv(path) for path in paths]
+    for other in traces[1:]:
+        report = compare_traces(traces[0], other, tol=0.0)
+        assert report.passed, report.text()
+
+
+def test_run_parallel_shares_blas_threads(spiral_case, monkeypatch):
+    blas = scheduler._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    get, put = blas
+    seen = []
+    sample_batch = scheduler.sample_batch
+
+    def recording(*args):
+        seen.append(get())
+        return sample_batch(*args)
+
+    monkeypatch.setattr(scheduler, "sample_batch", recording)
+    before = get()
+    put(2)
+    try:
+        for K, inside in ((2, 1), (1, 2)):
+            seen.clear()
+            cfg, ds = spiral_case(K, 2, S=3)
+            run_parallel(cfg, ds)
+            assert seen and set(seen) == {inside}, (K, seen)
+            assert get() == 2
+    finally:
+        put(before)
