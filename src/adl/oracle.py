@@ -37,8 +37,7 @@ from .data import Dataset, sample_batch
 from .net import init_states, net_backward, net_forward
 from .optimizer import Accumulator, ga_update, grads_sumsq, lr_at
 from .partition import Partition
-from .scheduler import (TrainConfig, WorkerUpdate, _assemble,
-                        _check_dataset, offends)
+from .scheduler import TrainConfig, WorkerUpdate, _assemble, _check_dataset
 from .trace import RunTrace, StopWatch
 
 __all__ = ["sync_ga_sgd", "delayed_replay"]
@@ -92,7 +91,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
                                   t, t // M)
         return loss
 
-    def close(k, s, loss=None, bad_loss=None):
+    def close(k, s, losses=()):
         """Step module k to version s + 1 and return its WorkerUpdate."""
         acc = acc_for(k, s)
         del accs[k][s]
@@ -102,19 +101,15 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         return WorkerUpdate(
             grads_sumsq(avg), list(acc.slots),
             module_params[k] if cfg.record_params else None,
-            avg if cfg.record_grads else None, loss, bad_loss)
+            avg if cfg.record_grads else None, losses)
 
     def groups():
         """Replay update by update, yielding each one's K records."""
         nonlocal params
         for s in range(S):
-            bad_loss = None
-            for t in range(M * s, M * (s + 1)):
-                loss = replay(t)
-                if bad_loss is None and offends(loss, cfg.divergence_limit):
-                    bad_loss = (t, loss)
+            losses = [replay(t) for t in range(M * s, M * (s + 1))]
             recs = [close(k, s) for k in range(1, K)]
-            recs.append(close(K, s, loss, bad_loss))
+            recs.append(close(K, s, losses))
             params = [p for k in range(1, K + 1) for p in module_params[k]]
             yield recs
 

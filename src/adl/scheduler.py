@@ -33,7 +33,9 @@ interleaving differs).
 _assemble builds every runner's trace, the oracles' too, from the K
 module records of each update and judges divergence from them alone:
 divergence_reason names the first update that offends and the trace
-ends there, so every runner names the same reason and S.
+ends there, so every runner names the same reason and S.  Tick events
+come from the clock, not from the workers: _tick_events derives them
+from (K, M, S) over _clock, the slot order of run_clocked.
 """
 from __future__ import annotations
 
@@ -77,12 +79,9 @@ Message = namedtuple("Message", "batch_index payload target",
                      defaults=(None,))
 # One module's update: the squared norm of its averaged gradient, its
 # provenance Slots j = 0..M-1, with record_params its new parameter list
-# and with record_grads its averaged-gradient list.  Module K adds the
-# loss of the group-closing batch and the group's first offending
-# (batch, loss), or None.
-WorkerUpdate = namedtuple("WorkerUpdate",
-                          "sumsq slots params grads loss bad_loss",
-                          defaults=(None, None))
+# and with record_grads its averaged-gradient list.  losses holds module
+# K's M batch losses of the group in batch order, and is () elsewhere.
+WorkerUpdate = namedtuple("WorkerUpdate", "sumsq slots params grads losses")
 
 
 def offends(x: float, limit: float) -> bool:
@@ -184,9 +183,7 @@ class ModuleWorker:
         self.stash = deque()  # FIFO of (batch, intermediates, version)
         self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
         self.update_records = []
-        self.events = [] if cfg.trace_ticks else None
-        self._loss = None  # module K: loss of the latest forward
-        self._bad_loss = None  # module K: first offending (batch, loss)
+        self._losses = []  # module K: the open group's batch losses
 
     def _forward(self, u: int, x: np.ndarray, target):
         """Forward batch u; module K returns the loss gradient instead of
@@ -201,10 +198,8 @@ class ModuleWorker:
             h, inter = layer_forward(spec, p_flat, h)
             intermediates.append(inter)
         if self.k == self.K:
-            self._loss, h = loss_and_grad(self.cfg.loss, h, target)
-            if self._bad_loss is None and \
-                    offends(self._loss, self.cfg.divergence_limit):
-                self._bad_loss = (u, self._loss)
+            loss, h = loss_and_grad(self.cfg.loss, h, target)
+            self._losses.append(loss)
         # stash what the delayed backward reads, if one will
         if u < self.cfg.total_batches - self.two_delta:
             self.stash.append((u, intermediates, self.version))
@@ -212,8 +207,6 @@ class ModuleWorker:
                 raise ProtocolError(
                     f"stash occupancy {len(self.stash)} exceeds "
                     f"{self.two_delta + 1} in module {self.k}")
-        if self.events is not None:
-            self.events.append(TickEvent(u + self.k - 1, self.k, "forward", u))
         return h
 
     def _backward(self, t_b: int, gout: np.ndarray):
@@ -230,9 +223,6 @@ class ModuleWorker:
                                          intermediates[i], g,
                                          i > 0 or self.k > 1)
         self.acc.add(grads, t_b, version)
-        if self.events is not None:
-            tick = t_b + self.two_delta + self.k - 1
-            self.events.append(TickEvent(tick, self.k, "backward", t_b))
         return g
 
     def _update(self, u: int):
@@ -242,21 +232,18 @@ class ModuleWorker:
             self.params, self.acc, lr_at(cfg.schedule, self.version), cfg.sgd,
             self.velocity)
         self.acc.reset()
-        # _loss and _bad_loss are only ever set in module K
+        # _losses is empty outside module K, and tuple() of it is ()
         self.update_records.append(WorkerUpdate(
             grads_sumsq(avg), slots,
             self.params if cfg.record_params else None,
-            avg if cfg.record_grads else None, self._loss, self._bad_loss))
-        self._bad_loss = None
+            avg if cfg.record_grads else None, tuple(self._losses)))
+        self._losses.clear()
         self.version += 1
         self.snapshots[self.version] = self.params
         # the oldest version a backward of a later slot reads
         oldest = (u + 1 - self.two_delta) // cfg.ga_steps
         for v in [v for v in self.snapshots if v < oldest]:
             del self.snapshots[v]
-        if self.events is not None:
-            self.events.append(
-                TickEvent(u + self.k - 1, self.k, "update", self.version))
 
     def process_slot(self, u: int, x, target, gout):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
@@ -315,28 +302,29 @@ def _check_dataset(cfg: TrainConfig, dataset: Dataset):
 
 
 def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,
-              events=None, wall: float = 0.0) -> RunTrace:
+              wall: float = 0.0) -> RunTrace:
     """Build any runner's trace from groups, which yields each update's K
     WorkerUpdate records in module order, and from params0, version 0's
-    parameter list under record_params.  The first update
-    divergence_reason names ends the trace and groups is not read past
-    it; events, a pipeline's TickEvents or None, are cut there too."""
-    K, M = cfg.K, cfg.ga_steps
+    parameter list under record_params.  An update records module K's last
+    loss; the first update divergence_reason names, weighing module K's
+    first offending loss, ends the trace and groups is not read past it."""
+    K, M, limit = cfg.K, cfg.ga_steps, cfg.divergence_limit
     updates, reason = [], None
     params = [np.concatenate(params0)] if cfg.record_params else None
     grads = [] if cfg.record_grads else None
     for s, recs in enumerate(groups):
-        top = recs[-1]
+        losses = recs[-1].losses
         sumsqs = [r.sumsq for r in recs]
         updates.append(UpdateRecord(
-            s, M * (s + 1) + K - 2, top.loss, global_grad_norm(sumsqs),
+            s, M * (s + 1) + K - 2, losses[-1], global_grad_norm(sumsqs),
             {k: r.slots for k, r in enumerate(recs, 1)}))
         if params is not None:
             params.append(np.concatenate([p for r in recs for p in r.params]))
         if grads is not None:
             grads.append(np.concatenate([g for r in recs for g in r.grads]))
-        reason = divergence_reason(s, top.bad_loss, sumsqs,
-                                   cfg.divergence_limit)
+        bad_loss = next(((M * s + j, x) for j, x in enumerate(losses)
+                         if offends(x, limit)), None)
+        reason = divergence_reason(s, bad_loss, sumsqs, limit)
         if reason:
             break
     diverged = reason is not None
@@ -344,11 +332,6 @@ def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,
                      divergence_reason=reason, wall_time=wall)
     if not diverged:
         trace.params, trace.grads = params, grads
-    if events is not None:
-        last = updates[-1].tick if diverged else math.inf
-        order = {"forward": 0, "backward": 1, "update": 2}
-        trace.events = sorted((e for e in events if e.tick <= last),
-                              key=lambda e: (e.tick, e.module, order[e.kind]))
     return trace
 
 
@@ -384,6 +367,28 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
         edges[k, k - 1].put(Message(t_b, g_in))
 
 
+def _clock(K: int, MS: int):
+    """(tick, k, u) of every slot of a K-module, MS-batch pipeline in the
+    order run_clocked runs them: by tick, then by module."""
+    for tick in range(MS + 2 * (K - 1)):
+        for k in range(max(1, tick - MS + 2), min(K, tick + 1) + 1):
+            yield tick, k, tick - (k - 1)
+
+
+def _tick_events(cfg: TrainConfig, last):
+    """Each slot's TickEvents through tick last: forward u, backward
+    u - 2*(K-k) if >= 0, and the update to u // M + 1 if u closes a group."""
+    K, M = cfg.K, cfg.ga_steps
+    for tick, k, u in _clock(K, cfg.total_batches):
+        if tick > last:
+            return
+        yield TickEvent(tick, k, "forward", u)
+        if u >= 2 * (K - k):
+            yield TickEvent(tick, k, "backward", u - 2 * (K - k))
+        if u % M == M - 1:
+            yield TickEvent(tick, k, "update", u // M + 1)
+
+
 def _edges(K: int, make) -> dict:
     """make((sender, receiver)) for both directions of every module pair."""
     return {e: make(e) for k in range(1, K)
@@ -401,10 +406,12 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
         w.check_drained()
     params0 = [p for w in workers for p in w.params0] \
         if cfg.record_params else None
-    events = [e for w in workers for e in w.events] \
-        if cfg.trace_ticks else None
-    return _assemble(cfg, mode, zip(*(w.update_records for w in workers)),
-                     params0, events, wall)
+    trace = _assemble(cfg, mode, zip(*(w.update_records for w in workers)),
+                      params0, wall)
+    if cfg.trace_ticks:
+        last = trace.updates[-1].tick if trace.diverged else math.inf
+        trace.events = list(_tick_events(cfg, last))
+    return trace
 
 
 class _Fifo(list):
@@ -426,14 +433,10 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Single-process reference execution of the pipeline clock."""
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    K, MS = cfg.K, cfg.total_batches
-    edges = _edges(K, _Fifo)
+    edges = _edges(cfg.K, _Fifo)
     with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
-        for tick in range(MS + 2 * (K - 1)):
-            for w in workers:
-                u = tick - (w.k - 1)
-                if 0 <= u < MS:
-                    feed_slot(w, u, edges, cfg, dataset)
+        for _, k, u in _clock(cfg.K, cfg.total_batches):
+            feed_slot(workers[k - 1], u, edges, cfg, dataset)
     return _finish(cfg, workers, edges, "adl-clocked", sw.elapsed)
 
 

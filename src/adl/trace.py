@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,12 +40,9 @@ class UpdateRecord:
     slots: dict  # module k (1-based) -> list[Slot], len M each
 
 
-@dataclass
-class TickEvent:
-    tick: int
-    module: int
-    kind: str  # forward | backward | update
-    index: int  # batch index (forward/backward) or new version (update)
+# kind is forward | backward | update; index is the batch index of a
+# forward or backward, or the new version of an update
+TickEvent = namedtuple("TickEvent", "tick module kind index")
 
 
 @dataclass

@@ -122,11 +122,15 @@ def test_divergence_exit_3_with_partial_trace(tmp_path, capsys):
         tmp_path,
         model={"layers": "affine:2:4 tanh:4 affine:4:1", "loss": "mse"},
         data={"dataset": "linreg", "dim": "2"},
-        optimizer={"lr": "1e6", "updates": "50"})
+        optimizer={"lr": "1e6", "updates": "50"},
+        run={"trace_level": "ticks"})
     assert main(["run", str(cfg)]) == 3
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "diverged: True" in summary
-    assert (tmp_path / "out" / "trace.csv").exists()
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    events = (tmp_path / "out" / "events.csv").read_text().splitlines()
+    # the events end at the tick of the last update the trace keeps
+    assert events[-1].split(",")[0] == trace[-1].split(",")[1]
 
 
 def test_k1_sync_and_pipeline_traces_byte_identical(tmp_path):
@@ -161,7 +165,10 @@ def test_tick_trace_level(tmp_path):
     assert main(["run", str(cfg)]) == 0
     events = (tmp_path / "out" / "events.csv").read_text().splitlines()
     assert events[0] == "tick,module,event,index"
-    assert len(events) > 10
+    # per module: M*S forwards, M*S - 2*(K-k) backwards and S updates
+    K, M, S = 2, 2, 5
+    assert len(events) - 1 == K * M * S + sum(
+        M * S - 2 * (K - k) for k in range(1, K + 1)) + K * S
 
 
 def test_auto_lr_and_momentum_warning(tmp_path, capsys):

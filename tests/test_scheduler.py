@@ -176,6 +176,44 @@ def test_tick_events_example(ident_case):
     assert first_update == (4, 1)
 
 
+def schedule_events(K, M, S, last=math.inf):
+    """The tick events of the pipeline from schedule_position and the
+    update rule alone (update s+1 fires at the forward of batch
+    M*(s+1) - 1), sorted by tick, module and forward < backward <
+    update, through tick last."""
+    MS, order = M * S, {"forward": 0, "backward": 1, "update": 2}
+    events = []
+    for k in range(1, K + 1):
+        for b in range(MS):
+            fwd, bwd = schedule_position(b, k, K)
+            events.append((fwd, k, "forward", b))
+            if bwd - (k - 1) < MS:  # the backward's slot exists
+                events.append((bwd, k, "backward", b))
+        for s in range(S):
+            tick = schedule_position(M * (s + 1) - 1, k, K)[0]
+            events.append((tick, k, "update", s + 1))
+    return sorted((e for e in events if e[0] <= last),
+                  key=lambda e: (e[0], e[1], order[e[2]]))
+
+
+# M = 3 does not divide 2*(K-k) at K = 3 or 5; at K = 5, M = 1 the 3
+# batches end before module 1's first backward; the last case diverges
+@pytest.mark.parametrize("K,M,S,lr", [
+    *((K, M, 3, 0.05) for K, M in itertools.product((1, 2, 3, 5),
+                                                    (1, 2, 3, 4))),
+    (3, 2, 60, 2000.0)])
+def test_tick_events_follow_the_schedule(K, M, S, lr, spiral_case):
+    cfg, ds = spiral_case(K, M, S=S, lr=lr, trace_ticks=True)
+    clocked = run_clocked(cfg, ds)
+    assert clocked.diverged == (lr > 1)
+    last = clocked.updates[-1].tick if clocked.diverged else math.inf
+    expected = schedule_events(K, M, S, last)
+    assert clocked.events == expected
+    assert run_parallel(cfg, ds).events == expected
+    if clocked.diverged:  # module K's update of the last kept version
+        assert expected[-1] == (last, K, "update", clocked.S)
+
+
 def test_bootstrap_updates_are_zero_steps(spiral_case):
     # K=2, M=1: module 1's first two groups hold only skipped slots, so
     # its parameters stay at initialization through version 2
@@ -245,6 +283,25 @@ def test_divergence_reason_priority():
     assert reason(0, (3, inf), [1.0, inf], 1e12) == "loss=inf at batch 3"
     assert reason(2, None, [inf], 1e12) == \
         "module 1 gradient norm inf at update 3"
+
+
+def test_assemble_names_the_first_offending_loss_of_the_group(ident_case):
+    # K = 2, M = 4: module K's losses of update 3 (s = 2) are batches 8..11
+    inf, nan = float("inf"), float("nan")
+    cfg, _ = ident_case(2, 4, S=5)
+    losses = [(1.0, 0.9, 0.8, 0.7), (0.6, 0.6, 0.6, 0.55),
+              (0.5, inf, nan, 0.1)]
+
+    def groups():
+        for group in losses:
+            yield [scheduler.WorkerUpdate(1.0, [], None, None, ()),
+                   scheduler.WorkerUpdate(1.0, [], None, None, group)]
+        raise AssertionError("read past the diverging update")
+
+    trace = scheduler._assemble(cfg, "adl-clocked", groups())
+    assert trace.diverged and trace.S == 3
+    assert trace.divergence_reason == "loss=inf at batch 9"
+    assert [r.loss for r in trace.updates] == [0.7, 0.55, 0.1]
 
 
 def test_loss_matches_full_batch_reference(spiral_case):
