@@ -356,7 +356,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AdlError, OSError, configparser.Error) as exc:
+    except (AdlError, OSError, UnicodeDecodeError,
+            configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ depends on t alone, so the replay reads the rule the other way round: it
 walks the batches in order, runs one full pass of batch t on the live
 version (which is floor(t / M) by construction) and adds module k's
 slice to module k's accumulator for update floor((t + 2*(K-k)) / M).  At
-the end of each group of M batches all modules step simultaneously.
+the end of each group of M batches every module steps its slice of the
+one whole-network parameter list.
 Because the counter-based sampler lets any batch be rematerialized
 exactly and ga_update is shared, a run_clocked trace must match the
 replay bit for bit -- that equality is the core correctness claim for
@@ -17,10 +18,11 @@ the delayed-gradient bookkeeping.  The replay is an oracle, not a
 training path.
 
 The replay streams each update's K module records to scheduler._assemble,
-which builds every runner's trace, so divergence follows the pipeline's
-rule: the trace and the replay stop at the first update that
-divergence_reason names, and the pipeline runners execute all S updates
-and cut their traces there.  Every runner names the same reason and S.
+which builds every runner's trace, version 0 of the history from the
+config, so divergence follows the pipeline's rule: the trace and the
+replay stop at the first update that divergence_reason names, and the
+pipeline runners execute all S updates and cut their traces there.
+Every runner names the same reason and S, and sets its own wall_time.
 
 sync_ga_sgd is the replay's K = 1 case: one module over the whole
 network has no delay, so update s+1 is M ordinary forward/backward
@@ -30,6 +32,7 @@ run_clocked with K = 1 bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .net import init_states, net_backward, net_forward
 from .optimizer import Accumulator, ga_update, grads_sumsq, lr_at
 from .partition import Partition
 from .scheduler import TrainConfig, WorkerUpdate, _assemble, _check_dataset
-from .trace import RunTrace, StopWatch
+from .trace import RunTrace
 
 __all__ = ["sync_ga_sgd", "delayed_replay"]
 
@@ -53,26 +56,24 @@ def sync_ga_sgd(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
 def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Recompute the pipeline's update sequence from its defining formula,
-    with one forward/backward pass per batch.  The trace's wall_time
-    covers the replay and building its records."""
+    with one forward/backward pass per batch on params, the live version
+    of the whole network; module k steps its slice of it.  The replay
+    sets wall_time itself: it covers the replay and building its records."""
     _check_dataset(cfg, dataset)
     K, M, S = cfg.K, cfg.ga_steps, cfg.updates
-    # the live version, full network; nothing else holds version 0
     params = [st.params for st in
               init_states(cfg.layers, cfg.seed, cfg.init_scale)]
-    module_layers = {k: list(cfg.partition.layers_of(k))
-                     for k in range(1, K + 1)}
-    module_params = {k: [params[i] for i in module_layers[k]]
-                     for k in range(1, K + 1)}
-    velocities = dict.fromkeys(module_params, None)
-    accs = {k: {} for k in module_params}  # update index -> open Accumulator
+    bounds = cfg.partition.bounds
+    slices = {k: slice(bounds[k - 1], bounds[k]) for k in range(1, K + 1)}
+    velocities = dict.fromkeys(slices)
+    accs = {k: {} for k in slices}  # update index -> open Accumulator
 
     def acc_for(k, u):
         """Module k's accumulator for update u, opened with its fill slots."""
         acc = accs[k].get(u)
         if acc is None:
             acc = accs[k][u] = Accumulator(
-                [p.size for p in module_params[k]], M)
+                [p.size for p in params[slices[k]]], M)
             first = M * u - 2 * (K - k)
             for t in range(first, min(first + M, 0)):
                 acc.add_skipped(t)
@@ -84,37 +85,31 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
         grads, _ = net_backward(cfg.layers, params, ctx, False)
-        for k in range(1, K + 1):
+        for k, sl in slices.items():
             u = (t + 2 * (K - k)) // M
             if u < S:
-                acc_for(k, u).add([grads[i] for i in module_layers[k]],
-                                  t, t // M)
+                acc_for(k, u).add(grads[sl], t, t // M)
         return loss
 
     def close(k, s, losses=()):
         """Step module k to version s + 1 and return its WorkerUpdate."""
-        acc = acc_for(k, s)
+        sl, acc = slices[k], acc_for(k, s)
         del accs[k][s]
-        module_params[k], velocities[k], avg = ga_update(
-            module_params[k], acc, lr_at(cfg.schedule, s), cfg.sgd,
-            velocities[k])
+        params[sl], velocities[k], avg = ga_update(
+            params[sl], acc, lr_at(cfg.schedule, s), cfg.sgd, velocities[k])
         return WorkerUpdate(
             grads_sumsq(avg), list(acc.slots),
-            module_params[k] if cfg.record_params else None,
+            params[sl] if cfg.record_params else None,
             avg if cfg.record_grads else None, losses)
 
     def groups():
         """Replay update by update, yielding each one's K records."""
-        nonlocal params
         for s in range(S):
             losses = [replay(t) for t in range(M * s, M * (s + 1))]
-            recs = [close(k, s) for k in range(1, K)]
-            recs.append(close(K, s, losses))
-            params = [p for k in range(1, K + 1) for p in module_params[k]]
-            yield recs
+            yield [close(k, s) for k in range(1, K)] + [close(K, s, losses)]
 
-    with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
-        trace = _assemble(cfg, "delayed-replay", groups(),
-                          params if cfg.record_params else None)
-    trace.wall_time = sw.elapsed
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = _assemble(cfg, "delayed-replay", groups())
+    trace.wall_time = time.perf_counter() - t0
     return trace

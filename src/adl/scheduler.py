@@ -30,12 +30,12 @@ over bounded queues and produces a bit-identical trace (each worker
 performs the same float operations in the same order, only wall-clock
 interleaving differs).
 
-_assemble builds every runner's trace, the oracles' too, from the K
-module records of each update and judges divergence from them alone:
-divergence_reason names the first update that offends and the trace
-ends there, so every runner names the same reason and S.  Tick events
-come from the clock, not from the workers: _tick_events derives them
-from (K, M, S) over _clock, the slot order of run_clocked.
+_assemble builds every runner's trace, the oracles' too, from the config
+and the K module records of each update, and judges divergence from the
+records alone: divergence_reason names the first update that offends and
+the trace ends there, so every runner names the same reason and S.  Each
+runner sets wall_time.  Tick events come from the clock: _tick_events
+derives them from (K, M, S) over _clock, the slot order of run_clocked.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ import functools
 import math
 import queue
 import threading
+import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +59,7 @@ from .net import (LOSS_KINDS, MSE, init_states, layer_backward,
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
-from .trace import RunTrace, StopWatch, TickEvent, UpdateRecord
+from .trace import RunTrace, TickEvent, UpdateRecord
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -176,7 +177,6 @@ class ModuleWorker:
         self.layer_range = cfg.partition.layers_of(k)
         self.specs = [cfg.layers[i] for i in self.layer_range]
         self.params = [states[i].params for i in self.layer_range]
-        self.params0 = self.params if cfg.record_params else None  # history
         self.velocity = None
         self.version = 0
         self.snapshots = {0: self.params}
@@ -301,16 +301,17 @@ def _check_dataset(cfg: TrainConfig, dataset: Dataset):
                               f"{n_classes} classes")
 
 
-def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,
-              wall: float = 0.0) -> RunTrace:
+def _assemble(cfg: TrainConfig, mode: str, groups) -> RunTrace:
     """Build any runner's trace from groups, which yields each update's K
-    WorkerUpdate records in module order, and from params0, version 0's
-    parameter list under record_params.  An update records module K's last
-    loss; the first update divergence_reason names, weighing module K's
-    first offending loss, ends the trace and groups is not read past it."""
+    WorkerUpdate records in module order; version 0 of a parameter history
+    comes from the config, and wall_time is the runner's to set.  An update
+    records module K's last loss; the first update divergence_reason names,
+    weighing module K's first offending loss, ends the trace and groups is
+    not read past it."""
     K, M, limit = cfg.K, cfg.ga_steps, cfg.divergence_limit
     updates, reason = [], None
-    params = [np.concatenate(params0)] if cfg.record_params else None
+    params = [np.concatenate([st.params for st in init_states(
+        cfg.layers, cfg.seed, cfg.init_scale)])] if cfg.record_params else None
     grads = [] if cfg.record_grads else None
     for s, recs in enumerate(groups):
         losses = recs[-1].losses
@@ -329,7 +330,7 @@ def _assemble(cfg: TrainConfig, mode: str, groups, params0=None,
             break
     diverged = reason is not None
     trace = RunTrace(mode, K, M, updates, diverged=diverged,
-                     divergence_reason=reason, wall_time=wall)
+                     divergence_reason=reason)
     if not diverged:
         trace.params, trace.grads = params, grads
     return trace
@@ -404,10 +405,8 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
                 f"edge {a}->{b} ended with {len(edge)} unread messages")
     for w in workers:
         w.check_drained()
-    params0 = [p for w in workers for p in w.params0] \
-        if cfg.record_params else None
-    trace = _assemble(cfg, mode, zip(*(w.update_records for w in workers)),
-                      params0, wall)
+    trace = _assemble(cfg, mode, zip(*(w.update_records for w in workers)))
+    trace.wall_time = wall
     if cfg.trace_ticks:
         last = trace.updates[-1].tick if trace.diverged else math.inf
         trace.events = list(_tick_events(cfg, last))
@@ -434,10 +433,11 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     edges = _edges(cfg.K, _Fifo)
-    with StopWatch() as sw, np.errstate(over="ignore", invalid="ignore"):
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
         for _, k, u in _clock(cfg.K, cfg.total_batches):
             feed_slot(workers[k - 1], u, edges, cfg, dataset)
-    return _finish(cfg, workers, edges, "adl-clocked", sw.elapsed)
+    return _finish(cfg, workers, edges, "adl-clocked", time.perf_counter() - t0)
 
 
 class _Stopped(Exception):
@@ -549,11 +549,13 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]
-    with _blas_share(cfg.K), StopWatch() as sw:
+    with _blas_share(cfg.K):
+        t0 = time.perf_counter()
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        wall = time.perf_counter() - t0
     if errors:
         raise errors[min(errors)]
-    return _finish(cfg, workers, edges, "adl-parallel", sw.elapsed)
+    return _finish(cfg, workers, edges, "adl-parallel", wall)

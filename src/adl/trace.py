@@ -8,15 +8,15 @@ s is the 0-based group index (update s+1 moved version s to s+1), tick
 is the global clock tick at which the top module fired that update,
 loss is the training loss observed at the top module's forward of the
 group-closing batch M*(s+1)-1, and grad_norm is the whole-network norm
-of the averaged accumulated gradient.  Skipped fill slots leave
-version_used and d_kj empty.  Floats are written in shortest exact
-round-trip decimal form, so parsing the file back reproduces the same
-float64 bits.
+of the averaged accumulated gradient.  d_kj = s - version_used is
+derived and not read back.  Skipped fill slots leave version_used and
+d_kj empty.  Floats are written in shortest exact round-trip decimal
+form, so parsing the file back reproduces the same float64 bits.
+read_csv rejects a body that disagrees with the K, M and updates header.
 """
 from __future__ import annotations
 
 import math
-import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,6 +126,15 @@ def read_csv(path) -> RunTrace:
         except ValueError:
             raise ComparisonError(f"{path}: bad row {line!r}") from None
         current.slots.setdefault(k, []).append(Slot(j, batch, version))
+    # update s = 0..updates-1 holds modules 1..K with M slots each
+    modules = set(range(1, trace.K + 1))
+    sizes = [len(v) for rec in trace.updates for v in rec.slots.values()]
+    if trace.S != meta.get("updates") or sizes.count(trace.M) != len(sizes) \
+            or any(rec.s != i or rec.slots.keys() != modules
+                   for i, rec in enumerate(trace.updates)):
+        raise ComparisonError(
+            f"{path}: the body disagrees with the header K={trace.K}, "
+            f"M={trace.M}, updates={meta.get('updates')}")
     return trace
 
 
@@ -259,13 +268,3 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
     passed = first is None
     return CompareReport(passed, a.S, max_loss, max_norm, max_param,
                          provenance_equal, first)
-
-
-class StopWatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False

@@ -107,7 +107,10 @@ def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
 def test_malformed_config_file_exit_2(tmp_path, capsys):
     headless = tmp_path / "headless.ini"
     headless.write_text("layers = affine:2:2\n")
-    for path in (headless, write_cfg(tmp_path, run={"out": "100%"})):
+    not_utf8 = tmp_path / "not_utf8.ini"
+    not_utf8.write_bytes(b"[model]\nlayers = affine:2:2 \xff\n")
+    for path in (headless, not_utf8,
+                 write_cfg(tmp_path, run={"out": "100%"})):
         assert main(["run", str(path)]) == 2, path
         assert "error:" in capsys.readouterr().err
 
@@ -293,13 +296,18 @@ def test_compare_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old,new", [("# K=2", "# K=two"),
-                                     ("\n0,", "\nzero,")])
+                                     ("\n0,", "\nzero,"),
+                                     ("\n0,", "\n\xff,"),
+                                     # the body disagrees with the header
+                                     ("# updates=5", "# updates=6"),
+                                     ("\n4,", "\n6,"),
+                                     ("# M=2", "# M=3"),
+                                     ("# K=2", "# K=9")])
 def test_compare_malformed_trace_exit_2(tmp_path, capsys, old, new):
     assert main(["run", str(write_cfg(tmp_path))]) == 0
-    good = tmp_path / "out" / "trace.csv"
-    bad = tmp_path / "bad.csv"
-    text = good.read_text()
+    text = (tmp_path / "out" / "trace.csv").read_text()
     assert old in text
-    bad.write_text(text.replace(old, new, 1))
-    assert main(["compare", str(good), str(bad)]) == 2
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text.replace(old, new).encode("latin-1"))
+    assert main(["compare", str(bad), str(bad)]) == 2
     assert "error:" in capsys.readouterr().err

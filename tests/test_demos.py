@@ -1,14 +1,17 @@
-"""The demos run against the current API and exit cleanly.
+"""The demos and the README examples run against the current API.
 
 Demo 04 trains for 30-40 s on a 2-core machine, so it is
 left to a manual run: python3 demos/04_ga_ablation.py
 """
+import configparser
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from adl import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_schedule_and_staleness", "02_equivalence", "03_bounds",
@@ -24,3 +27,22 @@ def test_demo_exits_cleanly(demo):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _readme_block(lang):
+    """The first ```lang block of the README."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs():
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})
+
+
+def test_readme_config_parses():
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(_readme_block("ini"))
+    mode, cfg, dataset, out, _ = cli.build_run(parser, lambda msg: None)
+    assert (mode, out) == ("adl-clocked", "runs/demo")
+    assert (cfg.K, cfg.ga_steps, cfg.updates, cfg.batch_size) == (2, 2, 50, 8)
+    assert dataset.kind == "classification" and len(dataset.targets) == 256

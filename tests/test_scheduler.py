@@ -304,6 +304,19 @@ def test_assemble_names_the_first_offending_loss_of_the_group(ident_case):
     assert [r.loss for r in trace.updates] == [0.7, 0.55, 0.1]
 
 
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel, sync_ga_sgd,
+                                    delayed_replay])
+def test_runner_owns_version_0_and_its_wall_time(runner, spiral_case):
+    # _assemble builds version 0 from the config; each runner times itself
+    cfg, ds = spiral_case(3, 2, S=4, record_params=True)
+    trace = runner(cfg, ds)
+    init = net.init_states(cfg.layers, cfg.seed, cfg.init_scale)
+    np.testing.assert_array_equal(
+        trace.params[0], np.concatenate([st.params for st in init]))
+    assert len(trace.params) == 5
+    assert trace.wall_time > 0.0
+
+
 def test_loss_matches_full_batch_reference(spiral_case):
     # the recorded loss of update s is the top module's forward loss of
     # the group-closing batch, evaluated on version-s parameters: recompute
