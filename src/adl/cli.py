@@ -228,7 +228,11 @@ def cmd_run(args) -> int:
         print(f"warning: {msg}", file=sys.stderr)
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(args.config):
+    try:
+        found = parser.read(args.config)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    if not found:
         raise ConfigError(f"cannot read config file {args.config!r}")
     mode, cfg, dataset, out, _ = build_run(parser, warn)
     if out is None:
@@ -356,8 +360,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AdlError, OSError, UnicodeDecodeError,
-            configparser.Error) as exc:
+    except (AdlError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

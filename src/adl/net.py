@@ -181,17 +181,17 @@ def loss_and_grad(kind: str, pred: np.ndarray, target):
             raise DimensionError(
                 f"mse target shape {target.shape} != prediction {pred.shape}")
         r = pred - target
-        return float(np.sum(r * r) / batch), (2.0 / batch) * r
+        return float((r * r).sum() / batch), (2.0 / batch) * r
     if kind == SOFTMAX_CE:
         labels = np.asarray(target)
-        if not np.issubdtype(labels.dtype, np.integer):
+        if labels.dtype.kind not in "iu":  # signed or unsigned integers
             raise DimensionError("softmax_ce expects integer class labels")
         if labels.shape != (batch,):
             raise DimensionError("softmax_ce labels must be one per batch row")
         z = pred - pred.max(axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(z), axis=1))
+        lse = np.log(np.exp(z).sum(axis=1))
         rows = np.arange(batch)
-        loss = float(np.mean(lse - z[rows, labels]))
+        loss = float((lse - z[rows, labels]).sum() / batch)
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1.0
         return loss, p / batch

@@ -11,6 +11,8 @@ but still count toward the group), then ga_update applies
     theta = theta - lr * v
 
 returning fresh arrays so older parameter versions are never mutated.
+The empty vectors of parameterless layers are passed through unchanged:
+they hold nothing to sum, step or mutate.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ class SgdConfig:
         check_finite_nonneg("weight decay", self.weight_decay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """Provenance of one accumulated gradient: which batch, which
     parameter version (None if the slot was skipped during fill)."""
@@ -65,28 +67,31 @@ class Accumulator:
     def full(self) -> bool:
         return self.count == self.capacity
 
-    def _bump(self, slot: Slot):
-        if self.full:
+    def _bump(self, batch_index: int, version):
+        j = len(self.slots)
+        if j == self.capacity:
             raise ProtocolError(
                 f"accumulator overflow: {self.capacity} slots already held")
-        self.slots.append(slot)
+        self.slots.append(Slot(j, batch_index, version))
 
     def add(self, grads, batch_index: int, version: int):
         """Accumulate a real gradient (list of flat per-layer arrays)."""
         if len(grads) != len(self.grad_sums):
             raise ProtocolError("gradient layout does not match accumulator")
-        self._bump(Slot(self.count, batch_index, version))
+        self._bump(batch_index, version)
         for acc, g in zip(self.grad_sums, grads):
-            acc += g
+            if acc.size:
+                acc += g
 
     def add_skipped(self, batch_index: int):
         """Record a pipeline-fill slot: contributes zero gradient but
         still advances the group toward the update."""
-        self._bump(Slot(self.count, batch_index, None))
+        self._bump(batch_index, None)
 
     def reset(self):
         for acc in self.grad_sums:
-            acc[:] = 0.0
+            if acc.size:
+                acc.fill(0.0)
         self.slots = []
 
 
@@ -96,30 +101,34 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
 
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
-    Returns (new_params, new_velocity, avg_grads); inputs are untouched.
+    Returns (new_params, new_velocity, avg_grads); inputs are untouched,
+    and the empty vectors of parameterless layers pass through as they are.
     """
     if not acc.full:
         raise ProtocolError(
             f"update fired with {acc.count}/{acc.capacity} slots accumulated")
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
-    avg = [gs / acc.capacity for gs in acc.grad_sums]
+    avg = [gs / acc.capacity if gs.size else gs for gs in acc.grad_sums]
     if velocity is None:
         velocity = [np.zeros_like(p) for p in params]
     new_params, new_velocity = [], []
     for p, g, v in zip(params, avg, velocity):
-        step = g + sgd.weight_decay * p if sgd.weight_decay != 0.0 else g
-        v2 = sgd.momentum * v + step if sgd.momentum != 0.0 else step
-        new_params.append(p - lr * v2)
-        new_velocity.append(v2)
+        if p.size:  # an empty vector passes through
+            step = g + sgd.weight_decay * p if sgd.weight_decay != 0.0 else g
+            v = sgd.momentum * v + step if sgd.momentum != 0.0 else step
+            p = p - lr * v
+        new_params.append(p)
+        new_velocity.append(v)
     return new_params, new_velocity, avg
 
 
 def grads_sumsq(grads) -> float:
-    """Sum of squared entries across a list of flat arrays, fixed order.
-    einsum, unlike np.dot, does not go through BLAS, so the bits do not
-    depend on the BLAS thread count."""
-    return sum(float(np.einsum("i,i->", g, g)) for g in grads)
+    """Sum of squared entries across a list of flat arrays, fixed order,
+    skipping empty ones.  einsum, unlike np.dot, does not go through BLAS,
+    so the bits do not depend on the BLAS thread count."""
+    return sum((float(np.einsum("i,i->", g, g)) for g in grads if g.size),
+               0.0)
 
 
 def global_grad_norm(module_sumsqs) -> float:

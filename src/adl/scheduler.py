@@ -22,13 +22,13 @@ parameter list that was live at that version.  The ring holds only the
 versions a later backward reads, whatever record_params says.
 
 A ModuleWorker computes on plain arrays.  feed_slot alone owns the slot
-protocol: it reads, index-checks, builds and sends the Messages on FIFO
-edges keyed (sender, receiver), and both runners feed every slot through
-it.  They differ only in the edges: run_clocked executes the tick loop
-in-process over plain lists; run_parallel runs one thread per module
-over bounded queues and produces a bit-identical trace (each worker
-performs the same float operations in the same order, only wall-clock
-interleaving differs).
+protocol: it reads, index-checks, builds and sends the messages, plain
+(batch, payload, target) tuples, on FIFO edges keyed (sender, receiver),
+and both runners feed every slot through it.  They differ only in the
+edges: run_clocked executes the tick loop in-process over deques;
+run_parallel runs one thread per module over bounded queues and produces
+a bit-identical trace (each worker performs the same float operations in
+the same order, only wall-clock interleaving differs).
 
 _assemble builds every runner's trace, the oracles' too, from the config
 and the K module records of each update, and judges divergence from the
@@ -74,10 +74,6 @@ def schedule_position(b: int, k: int, K: int):
     return b + (k - 1), b + 2 * K - k - 1
 
 
-# An activation sent up, or an input gradient sent down, one edge; an
-# activation carries its batch's target up to module K.
-Message = namedtuple("Message", "batch_index payload target",
-                     defaults=(None,))
 # One module's update: the squared norm of its averaged gradient, its
 # provenance Slots j = 0..M-1, with record_params its new parameter list
 # and with record_grads its averaged-gradient list.  losses holds module
@@ -171,9 +167,12 @@ class ModuleWorker:
 
     def __init__(self, k: int, cfg: TrainConfig, states):
         self.k = k
-        self.K = cfg.K
+        self.M = cfg.ga_steps
+        self.is_last = k == cfg.K
         self.cfg = cfg
         self.two_delta = 2 * (cfg.K - k)
+        # batches u < stash_end have a backward in this module
+        self.stash_end = cfg.total_batches - self.two_delta
         self.layer_range = cfg.partition.layers_of(k)
         self.specs = [cfg.layers[i] for i in self.layer_range]
         self.params = [states[i].params for i in self.layer_range]
@@ -188,7 +187,7 @@ class ModuleWorker:
     def _forward(self, u: int, x: np.ndarray, target):
         """Forward batch u; module K returns the loss gradient instead of
         its prediction."""
-        if self.version != u // self.cfg.ga_steps:
+        if self.version != u // self.M:
             raise ProtocolError(
                 f"version law broken: module {self.k} at version "
                 f"{self.version} forwarding batch {u}")
@@ -197,11 +196,11 @@ class ModuleWorker:
         for spec, p_flat in zip(self.specs, self.params):
             h, inter = layer_forward(spec, p_flat, h)
             intermediates.append(inter)
-        if self.k == self.K:
+        if self.is_last:
             loss, h = loss_and_grad(self.cfg.loss, h, target)
             self._losses.append(loss)
         # stash what the delayed backward reads, if one will
-        if u < self.cfg.total_batches - self.two_delta:
+        if u < self.stash_end:
             self.stash.append((u, intermediates, self.version))
             if len(self.stash) > self.two_delta + 1:
                 raise ProtocolError(
@@ -227,7 +226,7 @@ class ModuleWorker:
 
     def _update(self, u: int):
         cfg = self.cfg
-        slots = list(self.acc.slots)
+        slots = self.acc.slots  # reset() starts a new list
         self.params, self.velocity, avg = ga_update(
             self.params, self.acc, lr_at(cfg.schedule, self.version), cfg.sgd,
             self.velocity)
@@ -240,10 +239,10 @@ class ModuleWorker:
         self._losses.clear()
         self.version += 1
         self.snapshots[self.version] = self.params
-        # the oldest version a backward of a later slot reads
-        oldest = (u + 1 - self.two_delta) // cfg.ga_steps
-        for v in [v for v in self.snapshots if v < oldest]:
-            del self.snapshots[v]
+        # the oldest version a backward of a later slot reads rises by
+        # one per update, so only its predecessor can drop out
+        oldest = (u + 1 - self.two_delta) // self.M
+        self.snapshots.pop(oldest - 1, None)
 
     def process_slot(self, u: int, x, target, gout):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
@@ -254,10 +253,10 @@ class ModuleWorker:
         t_b = u - self.two_delta
         g_in = None
         if t_b >= 0:
-            g_in = self._backward(t_b, y if self.k == self.K else gout)
+            g_in = self._backward(t_b, y if self.is_last else gout)
         else:
             self.acc.add_skipped(t_b)
-        if u % self.cfg.ga_steps == self.cfg.ga_steps - 1:
+        if u % self.M == self.M - 1:
             self._update(u)
         return y, g_in
 
@@ -340,32 +339,29 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
               dataset: Dataset):
     """Gather worker w's slot-u inputs, run the slot and send its outputs.
 
-    feed_slot alone reads, index-checks, builds and sends the Messages,
-    through get() and put() on edges[(sender, receiver)] between adjacent
-    modules.  Module 1 samples batch u once, and its target rides up to
+    feed_slot alone reads, index-checks, builds and sends the (batch,
+    payload, target) messages, through get() and put() on
+    edges[(sender, receiver)] between adjacent modules.  Module 1 samples batch u once, and its target rides up to
     module K on the activations.  The input gradient of batch t_b goes
     down if module k-1 backpropagates t_b before its last slot."""
-    k, t_b = w.k, u - w.two_delta
+    k, t_b, last = w.k, u - w.two_delta, w.is_last
     if k == 1:
         x, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
     else:
-        msg = edges[k - 1, k].get()
-        if msg.batch_index != u:
-            raise ProtocolError(
-                f"module {k} expected activation {u}, got {msg.batch_index}")
-        x, target = msg.payload, msg.target
+        b, x, target = edges[k - 1, k].get()
+        if b != u:
+            raise ProtocolError(f"module {k} expected activation {u}, got {b}")
     gout = None
-    if k < w.K and t_b >= 0:
-        msg = edges[k + 1, k].get()
-        if msg.batch_index != t_b:
+    if not last and t_b >= 0:
+        b, gout, _ = edges[k + 1, k].get()
+        if b != t_b:
             raise ProtocolError(f"module {k} expected gradient for batch "
-                                f"{t_b}, got {msg.batch_index}")
-        gout = msg.payload
+                                f"{t_b}, got {b}")
     y, g_in = w.process_slot(u, x, target, gout)
-    if k < w.K:
-        edges[k, k + 1].put(Message(u, y, target))
-    if k > 1 and 0 <= t_b < cfg.total_batches - w.two_delta - 2:
-        edges[k, k - 1].put(Message(t_b, g_in))
+    if not last:
+        edges[k, k + 1].put((u, y, target))
+    if k > 1 and 0 <= t_b < w.stash_end - 2:
+        edges[k, k - 1].put((t_b, g_in, None))
 
 
 def _clock(K: int, MS: int):
@@ -413,19 +409,19 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
     return trace
 
 
-class _Fifo(list):
+class _Fifo(deque):
     """In-process edge of run_clocked; reading it empty is a ProtocolError."""
 
     def __init__(self, key):
         super().__init__()
         self.key = key
 
-    put = list.append
+    put = deque.append
 
     def get(self):
         if not self:
             raise ProtocolError("missing message on edge %d->%d" % self.key)
-        return self.pop(0)
+        return self.popleft()
 
 
 def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:

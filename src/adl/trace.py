@@ -92,8 +92,11 @@ def write_csv(trace: RunTrace, path):
 
 
 def read_csv(path) -> RunTrace:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ComparisonError(f"{path}: {exc}") from None
     meta = {}
     body = []
     for line in lines:

@@ -115,6 +115,21 @@ def test_malformed_config_file_exit_2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_named_on_exit_2(tmp_path, capsys):
+    assert main(["run", str(write_cfg(tmp_path))]) == 0
+    good = tmp_path / "out" / "trace.csv"
+    bad = tmp_path / "latin1_trace.csv"
+    bad.write_bytes(good.read_bytes().replace(b"\n0,", b"\n\xff,"))
+    bad_ini = tmp_path / "latin1_config.ini"
+    bad_ini.write_bytes(b"[model]\nlayers = affine:2:2 \xff\n")
+    for argv, named in ((["compare", str(good), str(bad)], bad),
+                        (["compare", str(bad), str(good)], bad),
+                        (["run", str(bad_ini)], bad_ini)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert str(named) in err and "can't decode" in err, err
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
     assert "cannot read" in capsys.readouterr().err

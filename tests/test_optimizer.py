@@ -1,4 +1,6 @@
 """Accumulator semantics, the accumulated-SGD step, and LR schedules."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from adl.errors import DomainError, ProtocolError
 from adl.optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig,
-                           StepDecay, ga_update, global_grad_norm,
+                           Slot, StepDecay, ga_update, global_grad_norm,
                            grads_sumsq, lr_at, scaled_base_lr)
 
 
@@ -34,8 +36,18 @@ def test_skipped_slot_contributes_zero():
 
 def test_overflow_is_protocol_violation():
     acc = acc_of(1.0)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="overflow"):
         acc.add([np.array([1.0])], 5, 0)
+    with pytest.raises(ProtocolError, match="overflow"):
+        acc.add_skipped(-1)
+    assert acc.count == 1
+
+
+def test_slot_is_a_replaceable_dataclass():
+    slot = Slot(1, 7, 3)
+    moved = dataclasses.replace(slot, version=None)
+    assert moved == Slot(1, 7, None) and moved.skipped
+    assert slot.version == 3 and not slot.skipped
 
 
 def test_update_requires_full_group():
@@ -123,7 +135,23 @@ def test_update_returns_fresh_arrays():
 def test_grad_norm_helpers():
     assert grads_sumsq([np.array([3.0]), np.array([4.0])]) == 25.0
     assert global_grad_norm([9.0, 16.0]) == 5.0
-    assert grads_sumsq([np.zeros(0)]) == 0.0
+    for grads in ([], [np.zeros(0)], [np.zeros(0), np.zeros(0)]):
+        total = grads_sumsq(grads)
+        assert type(total) is float and total == 0.0
+
+
+def test_parameterless_module_update_writes_nothing():
+    # a module of two parameterless layers: every vector is empty
+    acc = Accumulator([0, 0], 2)
+    acc.add_skipped(-1)
+    acc.add([np.zeros(0), np.zeros(0)], 0, 0)
+    theta = [np.zeros(0), np.zeros(0)]
+    sgd = SgdConfig(momentum=0.9, weight_decay=0.1)
+    params, vel, avg = ga_update(theta, acc, 0.5, sgd)
+    params2, vel2, _ = ga_update(params, acc, 0.5, sgd, vel)
+    assert all(p is t for p, t in zip(params + params2, theta + theta))
+    assert all(v is w for v, w in zip(vel2, vel))
+    assert [a.size for a in vel + avg + acc.grad_sums] == [0] * 6
 
 
 def test_sgd_config_validation():

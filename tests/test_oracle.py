@@ -9,7 +9,7 @@ from adl import data, net, oracle
 from adl.errors import ComparisonError
 from adl.optimizer import ConstantLr, Harmonic, SgdConfig
 from adl.oracle import delayed_replay, sync_ga_sgd
-from adl.partition import partition_even
+from adl.partition import Partition, partition_even
 from adl.scheduler import TrainConfig, run_clocked, run_parallel
 from adl.trace import compare_traces
 
@@ -39,6 +39,43 @@ def test_pipeline_equals_delayed_replay(K, M, spiral_case):
     assert_identical(a, b)
     for ga, gb in zip(a.grads, b.grads):
         np.testing.assert_array_equal(ga, gb)
+
+
+# parameterless layers between the affine ends, so some splits give modules
+# of empty parameter vectors only
+GRID_SPECS = [net.affine(2, 4), net.tanh(4), net.tanh(4), net.relu(4),
+              net.affine(4, 2)]
+
+
+def contiguous_splits(num_layers, max_K):
+    """Every Partition of num_layers into K <= max_K contiguous modules."""
+    for K in range(1, max_K + 1):
+        for cuts in itertools.combinations(range(1, num_layers), K - 1):
+            yield Partition(num_layers, (0, *cuts, num_layers))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("sgd", [SgdConfig(),
+                                 SgdConfig(momentum=0.9, weight_decay=1e-3)])
+def test_four_runners_agree_over_every_split(M, sgd):
+    ds = data.gen_two_spirals(64, 0.0, seed=5)
+    for part in contiguous_splits(len(GRID_SPECS), len(GRID_SPECS)):
+        cfg = TrainConfig(GRID_SPECS, part, net.SOFTMAX_CE, M, 8, 4,
+                          ConstantLr(0.1), sgd, seed=2, record_params=True,
+                          record_grads=True, trace_ticks=True)
+        clocked = run_clocked(cfg, ds)
+        others = [run_parallel(cfg, ds), delayed_replay(cfg, ds)]
+        if part.K == 1:
+            others.append(sync_ga_sgd(cfg, ds))
+        for other in others:
+            assert_identical(clocked, other)
+            for name in ("params", "grads"):
+                for a, b in zip(getattr(clocked, name), getattr(other, name),
+                                strict=True):
+                    np.testing.assert_array_equal(a, b)
+            assert [r.slots for r in clocked.updates] == \
+                [r.slots for r in other.updates], part
+        assert others[0].events == clocked.events
 
 
 def test_equivalence_survives_momentum_decay_and_schedules(spiral_case):
