@@ -15,11 +15,10 @@ every module and keeps the version law  param_version(batch t) =
 floor(t / M)  everywhere, which is what makes the delayed-gradient
 replay oracle exact.
 
-Because a module may update between a batch's forward and its delayed
-backward, each worker keeps a ring of parameter snapshots per version.
-Updates build fresh arrays, so a snapshot is just a reference to the
-parameter list that was live at that version.  The ring holds only the
-versions a later backward reads, whatever record_params says.
+A module may update between a batch's forward and its delayed backward,
+so each stash entry carries the parameter list its forward read.  Updates
+build fresh arrays, so that reference is the snapshot: an unrecorded
+version lives exactly as long as it is current or a stashed batch reads it.
 
 A ModuleWorker computes on plain arrays.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the messages, plain
@@ -60,8 +59,6 @@ from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
 from .trace import RunTrace, TickEvent, UpdateRecord
-
-DIVERGENCE_LIMIT = 1e12
 
 
 def schedule_position(b: int, k: int, K: int):
@@ -129,7 +126,7 @@ class TrainConfig:
     record_params: bool = False
     record_grads: bool = False
     trace_ticks: bool = False
-    divergence_limit: float = DIVERGENCE_LIMIT
+    divergence_limit: float = 1e12
 
     def __post_init__(self):
         if not self.layers:
@@ -146,6 +143,9 @@ class TrainConfig:
         _check_counts(self.ga_steps, self.updates, self.batch_size)
         check_finite_nonneg("init_scale", self.init_scale, ConfigError)
         check_finite_nonneg("seed", self.seed, ConfigError)
+        if not self.divergence_limit >= 0.0:  # NaN too; math.inf is allowed
+            raise ConfigError(
+                f"divergence_limit must be >= 0, got {self.divergence_limit}")
 
     @property
     def sampler_seed(self) -> int:
@@ -163,7 +163,7 @@ class TrainConfig:
 
 class ModuleWorker:
     """One pipeline stage on plain arrays, blind to the edges: a contiguous
-    slice of layers plus its accumulator, momentum and snapshot ring."""
+    slice of layers plus its accumulator, momentum and weight stash."""
 
     def __init__(self, k: int, cfg: TrainConfig, states):
         self.k = k
@@ -178,8 +178,7 @@ class ModuleWorker:
         self.params = [states[i].params for i in self.layer_range]
         self.velocity = None
         self.version = 0
-        self.snapshots = {0: self.params}
-        self.stash = deque()  # FIFO of (batch, intermediates, version)
+        self.stash = deque()  # FIFO of (batch, intermediates, version, params)
         self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
         self.update_records = []
         self._losses = []  # module K: the open group's batch losses
@@ -201,7 +200,7 @@ class ModuleWorker:
             self._losses.append(loss)
         # stash what the delayed backward reads, if one will
         if u < self.stash_end:
-            self.stash.append((u, intermediates, self.version))
+            self.stash.append((u, intermediates, self.version, self.params))
             if len(self.stash) > self.two_delta + 1:
                 raise ProtocolError(
                     f"stash occupancy {len(self.stash)} exceeds "
@@ -212,8 +211,7 @@ class ModuleWorker:
         if not self.stash or self.stash[0][0] != t_b:
             raise ProtocolError(
                 f"module {self.k} stash head is not batch {t_b}")
-        _, intermediates, version = self.stash.popleft()
-        sparams = self.snapshots[version]
+        _, intermediates, version, sparams = self.stash.popleft()
         grads = [None] * len(self.specs)
         g = gout
         for i in range(len(self.specs) - 1, -1, -1):
@@ -224,7 +222,7 @@ class ModuleWorker:
         self.acc.add(grads, t_b, version)
         return g
 
-    def _update(self, u: int):
+    def _update(self):
         cfg = self.cfg
         slots = self.acc.slots  # reset() starts a new list
         self.params, self.velocity, avg = ga_update(
@@ -238,11 +236,11 @@ class ModuleWorker:
             avg if cfg.record_grads else None, tuple(self._losses)))
         self._losses.clear()
         self.version += 1
-        self.snapshots[self.version] = self.params
-        # the oldest version a backward of a later slot reads rises by
-        # one per update, so only its predecessor can drop out
-        oldest = (u + 1 - self.two_delta) // self.M
-        self.snapshots.pop(oldest - 1, None)
+
+    @property
+    def snapshots(self):
+        """{version: params} of the live version and each stashed batch's."""
+        return {**{v: p for *_, v, p in self.stash}, self.version: self.params}
 
     def process_slot(self, u: int, x, target, gout):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
@@ -257,7 +255,7 @@ class ModuleWorker:
         else:
             self.acc.add_skipped(t_b)
         if u % self.M == self.M - 1:
-            self._update(u)
+            self._update()
         return y, g_in
 
     def check_drained(self):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ComparisonError
+from .errors import ComparisonError, check_finite_nonneg
 from .optimizer import Slot
 from .staleness import averaged_los
 
@@ -232,8 +232,9 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
     vectors are compared when both traces recorded them.  Two values are
     equal when they are equal or both NaN; any other NaN difference
     exceeds every tolerance.  Provenance (module, slot, batch, version)
-    must match exactly for a pass.
+    must match exactly for a pass.  tol must be finite and >= 0.
     """
+    check_finite_nonneg("tol", tol, ComparisonError)
     if a.S != b.S:
         raise ComparisonError(f"update ranges differ: {a.S} vs {b.S}")
     if a.S == 0:
@@ -242,12 +243,6 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
     max_param = float("nan")
     provenance_equal = True
     first = None
-
-    def worse(i):
-        nonlocal first
-        if first is None:
-            first = i
-
     have_params = a.params is not None and b.params is not None
     if have_params:
         if len(a.params) != len(b.params):
@@ -266,8 +261,8 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
             dp = _array_gap(a.params[i + 1], b.params[i + 1])
             max_param = max(max_param, dp)
             bad = bad or dp > tol
-        if bad:
-            worse(i)
+        if bad and first is None:
+            first = i
     passed = first is None
     return CompareReport(passed, a.S, max_loss, max_norm, max_param,
                          provenance_equal, first)

@@ -310,6 +310,28 @@ def test_compare_exit_codes(tmp_path, capsys):
     assert main(["compare", ta, str(tmp_path / "missing.csv")]) == 2
 
 
+def test_compare_rejects_a_nan_negative_or_infinite_tol(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.ini", out="A")
+    c = write_cfg(tmp_path, "c.ini", out="C", run={"seed": "2"})
+    for f in (a, c):
+        assert main(["run", str(f)]) == 0
+    ta = str(tmp_path / "A" / "trace.csv")
+    tc = str(tmp_path / "C" / "trace.csv")
+    # the first update's loss read as NaN: a gap beyond every tolerance
+    text = (tmp_path / "A" / "trace.csv").read_text()
+    loss = text.splitlines()[5].split(",")[2]
+    t_nan = tmp_path / "nan.csv"
+    t_nan.write_text(text.replace(loss, "nan"))
+    assert main(["compare", ta, str(t_nan)]) == 1
+    capsys.readouterr()
+    for argv in (["compare", ta, tc, "--tol", "nan"],
+                 ["compare", ta, ta, "--tol", "-1"],
+                 ["compare", ta, str(t_nan), "--tol", "inf"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "tol must be" in captured.err and not captured.out, argv
+
+
 @pytest.mark.parametrize("old,new", [("# K=2", "# K=two"),
                                      ("\n0,", "\nzero,"),
                                      ("\n0,", "\n\xff,"),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,6 +161,41 @@ def test_snapshot_ring_does_not_depend_on_recording(K, M, record, spiral_case,
     assert high == {k: math.ceil(2 * (K - k) / M) + 1
                     for k in range(1, K + 1)}
     assert len(trace.params or ()) == (13 if record else 0)
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel])
+@pytest.mark.parametrize("K,M", itertools.product((2, 3, 4), (1, 2, 3, 4)))
+def test_a_version_is_freed_after_its_last_reader(K, M, runner, spiral_case,
+                                                  monkeypatch):
+    # after slot u module k keeps alive its live version and the versions
+    # of the batches b in (u - 2(K-k), u] whose backward is still to come,
+    # and nothing else; a weak reference to each version's first non-empty
+    # parameter array tells which versions are still alive
+    S = 6
+    refs = {k: {} for k in range(1, K + 1)}  # one dict per module thread
+    wrong, process_slot = [], scheduler.ModuleWorker.process_slot
+
+    def watch(worker):
+        first = next(p for p in worker.params if p.size)
+        refs[worker.k].setdefault(worker.version, weakref.ref(first))
+
+    def checked(worker, u, *args):
+        watch(worker)
+        out = process_slot(worker, u, *args)
+        watch(worker)
+        k, d = worker.k, 2 * (K - worker.k)
+        alive = {v for v, ref in refs[k].items() if ref() is not None}
+        stashed = range(max(0, u - d + 1), min(u + 1, M * S - d))
+        want = {b // M for b in stashed} | {worker.version}
+        if alive != want:
+            wrong.append((k, u, sorted(alive), sorted(want)))
+        return out
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", checked)
+    cfg, ds = spiral_case(K, M, S=S)
+    assert runner(cfg, ds).S == S
+    assert all(refs.values())
+    assert wrong == []
 
 
 def test_tick_events_example(ident_case):
@@ -364,6 +400,18 @@ def test_config_validation():
                        sync_ga_sgd):
             with pytest.raises(ConfigError):
                 runner(bad, spirals)
+
+
+def test_divergence_limit_must_be_at_least_0(spiral_case):
+    # NaN would switch the magnitude rule off and a negative limit would
+    # stop every run at update 1; math.inf switches the rule off on purpose
+    for limit in (math.nan, -1.0):
+        with pytest.raises(ConfigError, match="divergence_limit"):
+            spiral_case(2, 1, S=6, divergence_limit=limit)
+    cfg, ds = spiral_case(2, 1, S=6, lr=2000.0, divergence_limit=2.0)
+    assert run_clocked(cfg, ds).diverged
+    cfg, ds = spiral_case(2, 1, S=6, divergence_limit=math.inf)
+    assert not run_clocked(cfg, ds).diverged
 
 
 # Trains one width-256 network (a 65,792-entry layer gradient) and writes
