@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from adl.data import Dataset, REGRESSION
+from adl.data import Dataset
 from adl.net import affine, relu
 from adl.optimizer import ConstantLr
 from adl.partition import partition_even
@@ -34,7 +34,7 @@ WIDTH, N, UPDATES = 256, 512, 40
 rng = np.random.default_rng(3)
 x = rng.normal(size=(N, WIDTH))
 y = np.tanh(x @ rng.normal(size=(WIDTH, WIDTH)) / np.sqrt(WIDTH))
-data = Dataset(REGRESSION, x, y)
+data = Dataset(x, y)
 
 specs = []
 for _ in range(4):

@@ -49,19 +49,16 @@ def _parse_layers(text: str):
     for token in text.replace(",", " ").split():
         parts = token.split(":")
         kind = parts[0]
-        try:
-            if kind == "affine":
-                if len(parts) != 3:
-                    raise ConfigError(f"affine needs in:out dims: {token!r}")
-                specs.append(net.affine(int(parts[1]), int(parts[2])))
-            elif kind in ("tanh", "relu", "identity"):
-                if len(parts) != 2:
-                    raise ConfigError(f"{kind} needs one dim: {token!r}")
-                specs.append(net.LayerSpec(kind, int(parts[1]), int(parts[1])))
-            else:
-                raise ConfigError(f"unknown layer token {token!r}")
-        except ValueError as exc:
-            raise ConfigError(f"bad layer token {token!r}: {exc}") from exc
+        if kind == "affine":
+            if len(parts) != 3:
+                raise ConfigError(f"affine needs in:out dims: {token!r}")
+            specs.append(net.affine(int(parts[1]), int(parts[2])))
+        elif kind in ("tanh", "relu", "identity"):
+            if len(parts) != 2:
+                raise ConfigError(f"{kind} needs one dim: {token!r}")
+            specs.append(net.LayerSpec(kind, int(parts[1]), int(parts[1])))
+        else:
+            raise ConfigError(f"unknown layer token {token!r}")
     if not specs:
         raise ConfigError("model.layers is empty")
     return specs
@@ -103,6 +100,8 @@ def _parse(parser) -> dict:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
                 conf[section][key] = _SCHEMA[section][key](raw)
+            except ConfigError:  # a cast's own message names the fault
+                raise
             except (ValueError, TypeError) as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r}") from exc
@@ -145,7 +144,7 @@ def _build_partition(conf, num_layers, specs) -> Partition:
         if len(interior) != K - 1:
             raise ConfigError(
                 f"explicit boundaries need {K - 1} cut points for k={K}")
-        return Partition(num_layers, (0, *interior, num_layers))
+        return Partition((0, *interior, num_layers))
     if strategy == "even":
         return partition_even(num_layers, K)
     return partition_by_params(specs, K)

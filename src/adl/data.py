@@ -15,23 +15,15 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_finite_nonneg
 
-REGRESSION = "regression"
-CLASSIFICATION = "classification"
-
 
 @dataclass
 class Dataset:
-    kind: str
     inputs: np.ndarray   # (n, dim) float64
     targets: np.ndarray  # (n, out) float64 or (n,) int64 labels
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
 
 
 def gen_linreg(n: int, dim: int, noise_std: float, seed: int) -> Dataset:
@@ -50,7 +42,7 @@ def gen_linreg(n: int, dim: int, noise_std: float, seed: int) -> Dataset:
     y = x @ w_star
     if noise_std > 0:
         y = y + rng.normal(0.0, noise_std, size=n)
-    return Dataset(REGRESSION, x, y[:, None])
+    return Dataset(x, y[:, None])
 
 
 def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
@@ -77,7 +69,7 @@ def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
         pts[i, 1] = radius * np.sin(angle)
     if noise_std > 0:
         pts = pts + rng.normal(0.0, noise_std, size=(n, 2))
-    return Dataset(CLASSIFICATION, pts, labels)
+    return Dataset(pts, labels)
 
 
 _sampler = threading.local()  # .rng: this thread's Philox Generator

@@ -49,7 +49,7 @@ __all__ = ["sync_ga_sgd", "delayed_replay"]
 def sync_ga_sgd(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Plain gradient-accumulation SGD on the unsplit network: the
     delayed replay of a single module that owns every layer."""
-    whole = Partition(len(cfg.layers), (0, len(cfg.layers)))
+    whole = Partition((0, len(cfg.layers)))
     trace = delayed_replay(dataclasses.replace(cfg, partition=whole), dataset)
     return dataclasses.replace(trace, mode="sync-ga")
 

@@ -13,12 +13,11 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Partition:
-    num_layers: int
-    bounds: tuple  # length K+1, bounds[0] == 0, bounds[K] == num_layers
+    bounds: tuple  # length K+1, bounds[0] == 0, bounds[K] == len(layers)
 
     def __post_init__(self):
         b = self.bounds
-        if len(b) < 2 or b[0] != 0 or b[-1] != self.num_layers:
+        if len(b) < 2 or b[0] != 0:
             raise ConfigError(f"bad partition bounds {b}")
         for lo, hi in zip(b, b[1:]):
             if hi <= lo:
@@ -46,7 +45,7 @@ def partition_even(num_layers: int, K: int) -> Partition:
     bounds = [0]
     for k in range(K):
         bounds.append(bounds[-1] + base + (1 if k < extra else 0))
-    return Partition(num_layers, tuple(bounds))
+    return Partition(tuple(bounds))
 
 
 def partition_by_cost(costs, K: int) -> Partition:
@@ -91,7 +90,7 @@ def partition_by_cost(costs, K: int) -> Partition:
                 bounds.append(e)
                 i, r = e, r - 1
                 break
-    return Partition(n, tuple(bounds))
+    return Partition(tuple(bounds))
 
 
 def partition_by_params(specs, K: int) -> Partition:

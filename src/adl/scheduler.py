@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset, sample_batch
+from .data import Dataset, sample_batch
 from .errors import ConfigError, ProtocolError, check_finite_nonneg
 from .net import (LOSS_KINDS, MSE, init_states, layer_backward,
                   layer_forward, loss_and_grad)
@@ -136,7 +136,7 @@ class TrainConfig:
                 raise ConfigError(
                     f"layer chain mismatch: {a.kind}->{a.out_dim} feeds "
                     f"{b.kind}<-{b.in_dim}")
-        if self.partition.num_layers != len(self.layers):
+        if self.partition.bounds[-1] != len(self.layers):
             raise ConfigError("partition does not cover the layer stack")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}")
@@ -277,25 +277,28 @@ def build_workers(cfg: TrainConfig):
 
 
 def _check_dataset(cfg: TrainConfig, dataset: Dataset):
-    """The one model-data check of every runner and of `adl run`: the
-    first layer reads the inputs, and the loss and the last layer fit
-    the dataset's kind and targets."""
-    first, last = cfg.layers[0], cfg.layers[-1]
-    if first.in_dim != dataset.dim:
-        raise ConfigError(f"first layer in_dim {first.in_dim} != "
-                          f"dataset dim {dataset.dim}")
+    """The one model-data check of every runner and of `adl run`, read off
+    the arrays: n >= 1 input rows as wide as the first layer, and n
+    targets the loss can score against the last layer's outputs."""
+    x, y = dataset.inputs, dataset.targets
+    first, out = cfg.layers[0].in_dim, cfg.layers[-1].out_dim
+    if x.ndim != 2 or len(x) < 1:
+        raise ConfigError(f"dataset inputs must be (n >= 1, dim) rows, "
+                          f"got shape {x.shape}")
+    n = len(x)
+    if x.shape[1] != first:
+        raise ConfigError(f"first layer in_dim {first} != "
+                          f"dataset dim {x.shape[1]}")
+    if y.shape[:1] != (n,):
+        raise ConfigError(f"{n} inputs need {n} targets, got shape {y.shape}")
     if cfg.loss == MSE:
-        if dataset.kind != REGRESSION:
-            raise ConfigError("mse loss needs a regression dataset")
-        if dataset.targets.shape[1:] != (last.out_dim,):
-            raise ConfigError("final layer out_dim != target dim")
-    else:
-        if dataset.kind != CLASSIFICATION:
-            raise ConfigError("softmax_ce loss needs a classification dataset")
-        n_classes = int(dataset.targets.max()) + 1
-        if last.out_dim < n_classes:
-            raise ConfigError(f"final layer out_dim {last.out_dim} < "
-                              f"{n_classes} classes")
+        if y.shape != (n, out):
+            raise ConfigError(f"mse loss needs regression targets of shape "
+                              f"({n}, {out}), got {y.shape}")
+    elif y.ndim != 1 or y.dtype.kind not in "iu" or not (
+            0 <= y.min() <= y.max() < out):
+        raise ConfigError(f"softmax_ce loss needs classification labels: "
+                          f"1-D integers in 0..{out - 1}")
 
 
 def _assemble(cfg: TrainConfig, mode: str, groups) -> RunTrace:

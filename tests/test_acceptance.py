@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adl.data import Dataset, REGRESSION, gen_two_spirals
+from adl.data import Dataset, gen_two_spirals
 from adl.net import (affine, finite_diff_grad, identity, net_backward,
                      net_forward, relu, state_for, tanh)
 from adl.optimizer import ConstantLr, Harmonic, lr_at
@@ -184,7 +184,7 @@ def _whitened_linreg(n, dim, seed):
     q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), g]))
     x = q[:, 1:] * np.sqrt(n)
     w_star = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
-    return Dataset(REGRESSION, x, (x @ w_star)[:, None])
+    return Dataset(x, (x @ w_star)[:, None])
 
 
 def test_a08_quadratic_reaches_critical_point():
@@ -277,7 +277,7 @@ def test_a11_parallel_speedup_on_multicore():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(n, width))
     y = np.tanh(x @ rng.normal(size=(width, width)) / np.sqrt(width))
-    ds = Dataset(REGRESSION, x, y)
+    ds = Dataset(x, y)
     specs = []
     for _ in range(4):
         specs += [affine(width, width), relu(width)]

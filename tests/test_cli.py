@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: configs, exit codes, files on disk."""
+import configparser
+
 import pytest
 
-from adl.cli import main
+from adl.cli import build_run, main
+from adl.staleness import averaged_los_sum, theorem2_rhs
+from adl.trace import CSV_COLUMNS
 
 BASE = {
     "model": {"layers": "affine:2:8 tanh:8 affine:8:2",
@@ -97,6 +101,16 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
      "ga_steps, updates and batch_size must be >= 1"),
     ({"optimizer": {"schedule": "step", "ga_steps": "0"}},
      "ga_steps, updates and batch_size must be >= 1"),
+    ({"model": {"layers": "affine:2"}}, "affine needs in:out dims"),
+    ({"model": {"layers": "tanh:2:3"}}, "tanh needs one dim"),
+    ({"model": {"layers": "conv:3"}}, "unknown layer token"),
+    ({"model": {"layers": "affine:a:2"}},
+     "bad value for [model] layers: 'affine:a:2'"),
+    ({"model": {"layers": ""}}, "model.layers is empty"),
+    ({"foo": {"bar": "1"}}, "unknown config section [foo]"),
+    ({"data": {"dim": "2"}}, "two_spirals has a fixed dim of 2"),
+    ({"run": {"trace_level": "verbose"}}, "trace_level must be updates|ticks"),
+    ({"optimizer": {"lr": None}}, "schedule 'constant' needs an lr value"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)
@@ -228,6 +242,22 @@ def test_explicit_partition_boundaries(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def test_partition_defaults_to_one_module_and_cost_splits(tmp_path, capsys):
+    whole = write_cfg(tmp_path, "whole.ini", out="whole", partition=None)
+    assert main(["run", str(whole)]) == 0
+    assert "modules: 1\n" in capsys.readouterr().out
+    # affine:2:8 costs 24 parameters, tanh:8 none, affine:8:2 18: the
+    # leftmost least bottleneck cuts after the first layer, not the second
+    cost = write_cfg(tmp_path, "cost.ini", out="cost",
+                     partition={"strategy": "cost"})
+    assert main(["run", str(cost)]) == 0
+    assert "modules: 2\n" in capsys.readouterr().out
+    for path, bounds in ((cost, (0, 1, 3)), (whole, (0, 3))):
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        assert build_run(parser, print)[1].partition.bounds == bounds
+
+
 def test_staleness_table_values(capsys):
     assert main(["staleness-table", "--modules", "8",
                  "--ga-steps", "1,4"]) == 0
@@ -259,6 +289,16 @@ def test_bounds_reproduces_reference_numbers(capsys):
     out = capsys.readouterr().out
     assert "theorem3_lr: 0.5 (L*lr <= 1: True)" in out
     assert "theorem3_bound: 2.0" in out
+
+
+def test_bounds_prints_theorem2_for_a_harmonic_rate(capsys):
+    assert main(["bounds", "--modules", "2", "--ga-steps", "2",
+                 "--grad-bound", "1", "--smoothness", "1", "--updates", "4",
+                 "--harmonic-c", "0.5", "--gap", "1"]) == 0
+    rhs = theorem2_rhs([0.5 / (s + 1) for s in range(4)], 1.0, 1.0, 1.0, 2,
+                       float(averaged_los_sum(2, 2)))
+    out = capsys.readouterr().out
+    assert f"theorem2_rhs (harmonic c=0.5, S=4): {rhs!r}\n" in out
 
 
 def test_bounds_domain_error_exit_2(capsys):
@@ -330,6 +370,32 @@ def test_compare_rejects_a_nan_negative_or_infinite_tol(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "tol must be" in captured.err and not captured.out, argv
+
+
+def test_compare_names_the_update_whose_provenance_differs(tmp_path, capsys):
+    assert main(["run", str(write_cfg(tmp_path))]) == 0
+    good = tmp_path / "out" / "trace.csv"
+    lines = good.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+    parts = lines[row].split(",")
+    parts[6] = str(int(parts[6]) + 1)  # the batch_index of one slot
+    lines[row] = ",".join(parts)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join(lines))
+    assert main(["compare", str(good), str(edited)]) == 1
+    out = capsys.readouterr().out
+    assert "max_loss_diff: 0.0\n" in out
+    assert "provenance_equal: False\n" in out
+    assert "first_divergence: 3\n" in out and "result: FAIL\n" in out
+
+
+def test_compare_refuses_empty_traces(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# K=2\n# M=2\n# updates=0\n# diverged=0\n"
+                     + ",".join(CSV_COLUMNS) + "\n")
+    assert main(["compare", str(empty), str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert "empty traces" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("old,new", [("# K=2", "# K=two"),

@@ -40,7 +40,7 @@ def test_linreg_noise_floor():
 def test_two_spirals_shape_and_balance():
     ds = data.gen_two_spirals(400, 0.0, seed=1)
     assert ds.inputs.shape == (400, 2)
-    assert ds.kind == data.CLASSIFICATION
+    assert ds.targets.shape == (400,) and ds.targets.dtype.kind == "i"
     counts = np.bincount(ds.targets, minlength=2)
     assert abs(int(counts[0]) - int(counts[1])) <= 1
 

@@ -45,4 +45,4 @@ def test_readme_config_parses():
     mode, cfg, dataset, out, _ = cli.build_run(parser, lambda msg: None)
     assert (mode, out) == ("adl-clocked", "runs/demo")
     assert (cfg.K, cfg.ga_steps, cfg.updates, cfg.batch_size) == (2, 2, 50, 8)
-    assert dataset.kind == "classification" and len(dataset.targets) == 256
+    assert dataset.inputs.shape == (256, 2) and dataset.targets.shape == (256,)

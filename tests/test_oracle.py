@@ -51,7 +51,7 @@ def contiguous_splits(num_layers, max_K):
     """Every Partition of num_layers into K <= max_K contiguous modules."""
     for K in range(1, max_K + 1):
         for cuts in itertools.combinations(range(1, num_layers), K - 1):
-            yield Partition(num_layers, (0, *cuts, num_layers))
+            yield Partition((0, *cuts, num_layers))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])

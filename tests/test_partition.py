@@ -105,9 +105,9 @@ def test_partition_by_params_uses_param_counts():
 
 def test_validation():
     with pytest.raises(ConfigError):
-        Partition(4, (0, 2, 2, 4))
+        Partition((0, 2, 2, 4))
     with pytest.raises(ConfigError):
-        Partition(4, (1, 4))
+        Partition((1, 4))
     with pytest.raises(ConfigError):
         partition_by_cost([1, -1], 1)
     with pytest.raises(ConfigError):

@@ -372,7 +372,7 @@ def test_loss_matches_full_batch_reference(spiral_case):
         assert loss == rec.loss  # bit-identical
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     specs = [net.affine(2, 3), net.affine(4, 1)]
     with pytest.raises(ConfigError):
         TrainConfig(specs, partition_even(2, 1), net.MSE, 1, 4, 1,
@@ -391,15 +391,35 @@ def test_config_validation():
                       ConstantLr(0.1))
     with pytest.raises(ConfigError):
         run_clocked(cfg, data.gen_linreg(8, 5, 0.0, 0))
-    # every runner checks the loss and the head against the dataset
-    spirals = data.gen_two_spirals(8, 0.0, 0)
+    # every runner checks the loss and the head against the dataset's
+    # arrays, and refuses a bad pair before it draws a batch
+    def no_batch(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(data, "batch_indices", no_batch)
+    spirals = data.gen_two_spirals(16, 0.0, 0)
+    linreg = data.gen_linreg(16, 2, 0.0, 0)
     mse = replace(cfg, partition=partition_even(2, 2))
     one_output = replace(mse, loss=net.SOFTMAX_CE)  # two classes
-    for bad in (mse, one_output):
+    ce = replace(one_output, layers=[net.affine(2, 3), net.affine(3, 2)])
+    labels = spirals.targets
+
+    def last_label(value):
+        return replace(spirals, targets=np.append(labels[:-1], value))
+
+    for bad, ds in ((mse, spirals), (one_output, spirals),
+                    (ce, last_label(-1)), (ce, last_label(2)),
+                    (ce, replace(spirals, targets=labels.astype(float))),
+                    (ce, replace(spirals, targets=labels[:, None])),
+                    (ce, replace(spirals, inputs=spirals.inputs[:, 0])),
+                    (ce, replace(spirals, inputs=spirals.inputs[:0],
+                                 targets=labels[:0])),
+                    (ce, replace(spirals, targets=labels[:15])),
+                    (mse, replace(linreg, targets=linreg.targets[:, 0]))):
         for runner in (run_clocked, run_parallel, delayed_replay,
                        sync_ga_sgd):
             with pytest.raises(ConfigError):
-                runner(bad, spirals)
+                runner(bad, ds)
 
 
 def test_divergence_limit_must_be_at_least_0(spiral_case):
@@ -477,3 +497,25 @@ def test_run_parallel_shares_blas_threads(spiral_case, monkeypatch):
             assert get() == 2
     finally:
         put(before)
+
+
+def test_numpy_without_scipy_openblas_is_left_alone(tmp_path, monkeypatch):
+    # a numpy.libs entry that does not load is skipped, and none found is None
+    site = tmp_path / "site-packages"
+    (site / "numpy").mkdir(parents=True)
+    (site / "numpy.libs").mkdir()
+    (site / "numpy.libs" / "libscipy_openblas64_-fake.so").write_bytes(
+        b"not a shared library")
+    monkeypatch.setattr(np, "__file__", str(site / "numpy" / "__init__.py"))
+    assert scheduler._openblas.__wrapped__() is None
+
+
+def test_run_parallel_without_openblas_matches_the_clock(spiral_case,
+                                                         monkeypatch):
+    monkeypatch.setattr(scheduler, "_openblas", lambda: None)
+    cfg, ds = spiral_case(2, 2, S=6, record_params=True, record_grads=True)
+    a, b = run_clocked(cfg, ds), run_parallel(cfg, ds)
+    report = compare_traces(a, b, tol=0.0)
+    assert report.passed and report.max_param_diff == 0.0, report.text()
+    for ga, gb in zip(a.grads, b.grads, strict=True):
+        np.testing.assert_array_equal(ga, gb)

@@ -64,6 +64,15 @@ def test_compare_traces_treats_nan_as_a_difference(spiral_case):
     assert rep.max_param_diff == math.inf
 
 
+def test_compare_traces_refuses_parameter_histories_of_unequal_length(
+        spiral_case):
+    cfg, ds = spiral_case(2, 2, S=4, record_params=True)
+    a, b = run_clocked(cfg, ds), run_clocked(cfg, ds)
+    b.params.pop()
+    with pytest.raises(ComparisonError, match="differ in length"):
+        compare_traces(a, b)
+
+
 def test_compare_traces_passes_identical_diverged_traces(spiral_case):
     # run until the loss is NaN; infinities in the same places also match
     cfg, ds = spiral_case(2, 1, S=60, lr=2000.0, divergence_limit=math.inf)
