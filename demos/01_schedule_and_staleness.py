@@ -5,8 +5,8 @@ forwards batch b at tick b + (k-1) and receives the matching gradient
 2*(K-k) ticks later.  Because updates happen while gradients are still
 in flight, module k applies gradients computed on parameters that are
 d versions old.  Gradient accumulation (averaging M consecutive
-micro-batch gradients per update) shrinks that version lag roughly by
-a factor of M.
+micro-batch gradients per update) divides that version lag, averaged
+over the M slots of an update, by exactly M: 2*(K-k) becomes 2*(K-k)/M.
 
 Run:  python3 demos/01_schedule_and_staleness.py
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from adl.partition import partition_by_cost, partition_even
 from adl.scheduler import TrainConfig, run_clocked, schedule_position
-from adl.staleness import averaged_los, module_staleness, steady_staleness
+from adl.staleness import averaged_los, effective_version, steady_staleness
 from adl.net import identity
 from adl.data import gen_linreg
 from adl.optimizer import ConstantLr
@@ -46,13 +46,16 @@ print()
 print("=" * 64)
 print("2. Version lag per accumulation slot")
 print("=" * 64)
-print("module_staleness(s, j, K, k, M) = how many versions old the")
-print("parameters were when slot j of update s+1 was computed.\n")
-print("K=3, M=4, module 2: the four slots of each steady update show")
+print("steady_staleness(K, k, M, j) = how many versions old the")
+print("parameters were when slot j of update s+1 was computed; it is the")
+print("same for every s, and effective_version(s, j, K, k, M) is")
+print("max(0, s - it).\n")
+print("K=3, M=4, module 2: the four slots of each update show")
 print("the pattern (1, 1, 0, 0) — half the group is already fresh:")
 for s in (2, 3, 4):
-    lags = tuple(module_staleness(s, j, 3, 2, 4) for j in range(4))
+    lags = tuple(s - effective_version(s, j, 3, 2, 4) for j in range(4))
     print(f"  update s={s}: {lags}")
+assert lags == tuple(steady_staleness(3, 2, 4, j) for j in range(4))
 print("\nWithout accumulation (M=1) the lag is constant 2*(K-k):")
 for k in (1, 2, 3):
     print(f"  module {k}: {steady_staleness(3, k, 1, 0)}")

@@ -19,12 +19,12 @@ Run:  python3 demos/03_bounds.py
 import numpy as np
 
 from adl.staleness import (averaged_los_sum, theorem1_rhs, theorem2_rhs,
-                           theorem3_bound, theorem3_lr, theorem3_lr_ok)
+                           theorem3_bound, theorem3_lr)
 
 print("=" * 64)
 print("1. When does one update provably descend?")
 print("=" * 64)
-print("A=1, L=1, ||g||^2 = 4, K=2 modules, M=2, sum dbar = 3:")
+print("A=1, L=1, ||g||^2 = 4, K=3 modules, M=2, sum dbar = 3:")
 for lr in (0.4, 0.2, 0.1, 0.05):
     rhs = theorem1_rhs(lr, 4.0, A=1.0, L=1.0, M=2, dbar_sum=3.0)
     verdict = "descends" if rhs < 0 else "no guarantee"
@@ -50,7 +50,7 @@ print("=" * 64)
 print("gap=1, A=L=1, M=1, no lag, epsilon=1:")
 for S in (4, 100, 10000):
     lr = theorem3_lr(1.0, 1.0, S, A=1.0, L=1.0, M=1, dbar_sum=0.0)
-    ok = theorem3_lr_ok(1.0, 1.0, S, A=1.0, L=1.0, M=1, dbar_sum=0.0)
+    ok = 1.0 * lr <= 1.0  # L*lr <= 1, the bound's precondition
     bound = theorem3_bound(1.0, 1.0, S, A=1.0, L=1.0, M=1, dbar_sum=0.0)
     print(f"  S={S:>6d}: lr={lr:.4f} (L*lr<=1: {ok}), "
           f"min E||g||^2 <= {bound:.4f}")

@@ -70,6 +70,18 @@ def _split(cast):
                               text.replace(",", " ").split())
 
 
+def _checked(name, check=check_finite_nonneg):
+    """Cast to a float that check accepts, else a ConfigError naming name."""
+    return lambda raw: check(name, float(raw), ConfigError)
+
+
+def _milestones(text):
+    milestones = _split(_checked("milestone"))(text)
+    if list(milestones) != sorted(milestones):
+        raise ConfigError(f"milestones must not decrease, got {milestones}")
+    return milestones
+
+
 # section -> key -> the cast that parses its value
 _SCHEMA = {
     "model": {"layers": _parse_layers, "loss": str, "init_scale": float},
@@ -78,11 +90,14 @@ _SCHEMA = {
              "seed": int},
     "optimizer": {"ga_steps": int, "updates": int, "batch_size": int,
                   "momentum": float, "weight_decay": float, "schedule": str,
-                  "lr": lambda raw: raw if raw == "auto" else float(raw),
-                  "harmonic_c": float, "warmup_epochs": float,
-                  "milestones": _split(float), "decay_factor": float,
-                  "epsilon": float, "gap": float, "grad_bound": float,
-                  "smoothness": float},
+                  "lr": lambda raw: (raw if raw == "auto" else
+                                     _checked("learning rate")(raw)),
+                  "harmonic_c": _checked("harmonic c"),
+                  "warmup_epochs": _checked("warmup_epochs"),
+                  "milestones": _milestones,
+                  "decay_factor": _checked("decay factor"),
+                  **{key: _checked(key, _check_pos) for key in
+                     ("epsilon", "gap", "grad_bound", "smoothness")}},
     "run": {"mode": str, "out": str, "seed": int, "trace_level": str},
 }
 
@@ -166,20 +181,18 @@ def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
         return Harmonic(c)
     if name == "step":
         warmup_epochs = _get(conf, "optimizer", "warmup_epochs", 0.0)
-        check_finite_nonneg("warmup_epochs", warmup_epochs)
         factor = _get(conf, "optimizer", "decay_factor", 0.1)
         milestones = _get(conf, "optimizer", "milestones", ())
         bpe = math.ceil(dataset.n / batch_size)
-        warmup = warmup_epochs * bpe / M
-        check_finite_nonneg("warm-up in updates", warmup)  # before round()
+        warmup = check_finite_nonneg(  # before round()
+            "warm-up in updates", warmup_epochs * bpe / M)
         return StepDecay(base_lr(), round(warmup), milestones, factor, M, bpe)
     if name == "theorem3":
         eps = _get(conf, "optimizer", "epsilon", 1.0)
         gap = _get(conf, "optimizer", "gap", required=True)
         A = _get(conf, "optimizer", "grad_bound", required=True)
         L = _get(conf, "optimizer", "smoothness", required=True)
-        dbar = float(averaged_los_sum(K, M))
-        lr = theorem3_lr(eps, gap, S, A, L, M, dbar)
+        lr = theorem3_lr(eps, gap, S, A, L, M, float(averaged_los_sum(K, M)))
         if L * lr > 1.0:
             warn(f"theorem3 precondition violated: L*lr = {L * lr:.6g} > 1; "
                  f"the matching bound does not apply at this rate")
@@ -274,8 +287,13 @@ def cmd_bounds(args) -> int:
     dbar = float(averaged_los_sum(K, M))  # also rejects K < 1 and M < 1
     if args.dbar_sum is not None:
         dbar = args.dbar_sum
-    _check_pos("--grad-bound", args.grad_bound)
-    _check_pos("--smoothness", args.smoothness)
+    positive = ("grad_bound", "smoothness", "gap", "epsilon", "harmonic_c")
+    for key in (*positive, "lr", "grad_norm_sq"):  # even without a partner
+        if getattr(args, key) is not None:
+            (_check_pos if key in positive else check_finite_nonneg)(
+                "--" + key.replace("_", "-"), getattr(args, key))
+    if args.updates < 1:
+        raise ConfigError(f"--updates must be >= 1, got {args.updates}")
     lines = [f"K={K} M={M} dbar_sum={dbar:.6g} "
              f"staleness_factor={_staleness_factor(M, dbar):.6g}"]
     if args.lr is not None and args.grad_norm_sq is not None:

@@ -27,6 +27,7 @@ class ComparisonError(AdlError, ValueError):
 
 
 def check_finite_nonneg(name: str, value, error=DomainError):
-    """Raise error unless value is a finite number >= 0; NaN fails."""
+    """value if it is a finite number >= 0, else raise error; NaN fails."""
     if not 0.0 <= value < float("inf"):
         raise error(f"{name} must be >= 0 and finite, got {value}")
+    return value

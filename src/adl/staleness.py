@@ -25,76 +25,63 @@ def _check_int(name, v):
     return int(v)
 
 
-def _check_module_args(s, j, K, k, M):
-    s = _check_int("s", s)
-    j = _check_int("j", j)
-    K = _check_int("K", K)
-    k = _check_int("k", k)
-    M = _check_int("M", M)
-    if s < 0:
-        raise DomainError(f"update index s must be >= 0, got {s}")
+def _check_module_args(K, k, M):
+    K, k, M = _check_int("K", K), _check_int("k", k), _check_int("M", M)
     if M < 1:
         raise DomainError(f"accumulation factor M must be >= 1, got {M}")
-    if not 0 <= j < M:
-        raise DomainError(f"slot j must lie in 0..M-1, got {j}")
     if K < 1 or not 1 <= k <= K:
         raise DomainError(f"module k must lie in 1..K, got k={k}, K={K}")
-    return s, j, K, k, M
-
-
-def module_staleness(s: int, j: int, K: int, k: int, M: int) -> int:
-    """Update-count staleness of the j-th gradient of update s+1 in module k:
-    s - floor((M*s + j - 2*(K-k)) / M).  Clamped below at 0."""
-    s, j, K, k, M = _check_module_args(s, j, K, k, M)
-    d = s - (M * s + j - 2 * (K - k)) // M
-    return max(0, d)
+    return K, k, M
 
 
 def steady_staleness(K: int, k: int, M: int, j: int) -> int:
-    """Closed form of module_staleness once the pipeline is full:
-    ceil((2*(K-k) - j) / M), never negative for valid j."""
-    _, j, K, k, M = _check_module_args(0, j, K, k, M)
-    return max(0, -((j - 2 * (K - k)) // M))
+    """Update-count staleness of the j-th gradient of every update s+1 in
+    module k, fill slots included: floor((M*s + x)/M) = s + floor(x/M), so
+    s - floor((M*s + j - 2*(K-k))/M) = ceil((2*(K-k) - j)/M) for every
+    s >= 0, never negative because j < M."""
+    K, k, M = _check_module_args(K, k, M)
+    j = _check_int("j", j)
+    if not 0 <= j < M:
+        raise DomainError(f"slot j must lie in 0..M-1, got {j}")
+    return -((j - 2 * (K - k)) // M)
 
 
 def effective_version(s: int, j: int, K: int, k: int, M: int) -> int:
     """Parameter version actually used by the j-th gradient of update s+1
     in module k: max(0, s - staleness)."""
-    s, j, K, k, M = _check_module_args(s, j, K, k, M)
-    return max(0, (M * s + j - 2 * (K - k)) // M)
+    if _check_int("s", s) < 0:
+        raise DomainError(f"update index s must be >= 0, got {s}")
+    return max(0, int(s) - steady_staleness(K, k, M, j))
 
 
 def averaged_los(K: int, k: int, M: int) -> Fraction:
-    """Average staleness over one accumulation group, exact rational:
-    (1/M) * sum_j steady_staleness."""
-    _, _, K, k, M = _check_module_args(0, 0, K, k, M)
-    total = 0
-    for j in range(M):
-        total += steady_staleness(K, k, M, j)
-    return Fraction(total, M)
+    """Average staleness over one accumulation group, exact rational: the
+    M ceilings steady_staleness(K, k, M, j) sum to 2*(K-k) (Hermite's
+    identity), so the average is exactly 2*(K-k)/M."""
+    K, k, M = _check_module_args(K, k, M)
+    return Fraction(2 * (K - k), M)
 
 
 def averaged_los_sum(K: int, M: int) -> Fraction:
-    """sum_k averaged_los(K, k, M), the quantity the bounds depend on."""
+    """sum_k averaged_los(K, k, M) = K*(K-1)/M, the quantity the bounds
+    depend on."""
     if _check_int("K", K) < 1:
         raise DomainError(f"number of modules K must be >= 1, got {K}")
-    return sum((averaged_los(K, k, M) for k in range(1, K + 1)),
-               Fraction(0))
+    K, _, M = _check_module_args(K, K, M)
+    return Fraction(K * (K - 1), M)
 
 
-def _check_pos(name, v):
+def _check_pos(name, v, error=DomainError):
     v = float(v)
     if not np.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {v}")
+        raise error(f"{name} must be positive and finite, got {v}")
     return v
 
 
 def _staleness_factor(M, dbar_sum) -> float:
-    M = _check_int("M", M)
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
-    dbar_sum = float(dbar_sum)
-    check_finite_nonneg("summed averaged staleness", dbar_sum)
+    M = _check_module_args(1, 1, M)[2]  # an integer >= 1
+    dbar_sum = check_finite_nonneg("summed averaged staleness",
+                                   float(dbar_sum))
     return 1.0 + dbar_sum / M
 
 
@@ -106,15 +93,14 @@ def theorem1_rhs(lr: float, grad_norm_sq: float, A: float, L: float,
     Negative return value certifies expected descent at this step.
     Requires L*lr <= 1.
     """
-    lr = float(lr)
-    check_finite_nonneg("learning rate", lr)
+    lr = check_finite_nonneg("learning rate", float(lr))
     A = _check_pos("A", A)
     L = _check_pos("L", L)
-    check_finite_nonneg("grad_norm_sq", float(grad_norm_sq))
+    grad_norm_sq = check_finite_nonneg("grad_norm_sq", float(grad_norm_sq))
     if L * lr > 1.0 + 1e-12:
         raise DomainError(f"requires L*lr <= 1, got {L * lr}")
     factor = _staleness_factor(M, dbar_sum)
-    return -(lr / 2.0) * float(grad_norm_sq) + lr * lr * A * L * factor / M
+    return -(lr / 2.0) * grad_norm_sq + lr * lr * A * L * factor / M
 
 
 def theorem2_rhs(lrs, gap: float, A: float, L: float,
@@ -161,17 +147,11 @@ def theorem3_lr(epsilon: float, gap: float, S: int, A: float, L: float,
                 M: int, dbar_sum: float) -> float:
     """Constant learning rate epsilon*sqrt(M*gap / (S*A*L*(1+dbar_sum/M))).
 
-    Callers should check theorem3_lr_ok (L*lr <= 1) before trusting the
-    matching bound; the rate itself is returned unconditionally.
+    Returned even when L*lr > 1, where the matching bound does not apply.
     """
     epsilon, gap, S, A, L, M, factor = _theorem3_args(
         epsilon, gap, S, A, L, M, dbar_sum)
     return epsilon * float(np.sqrt(M * gap / (S * A * L * factor)))
-
-
-def theorem3_lr_ok(epsilon, gap, S, A, L, M, dbar_sum) -> bool:
-    """True iff the theorem3 rate satisfies its own precondition L*lr <= 1."""
-    return float(L) * theorem3_lr(epsilon, gap, S, A, L, M, dbar_sum) <= 1.0
 
 
 def theorem3_bound(epsilon: float, gap: float, S: int, A: float, L: float,

@@ -31,7 +31,7 @@ from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.partition import partition_even
 from adl.scheduler import TrainConfig, run_clocked, run_parallel
 from adl.staleness import (averaged_los, effective_version,
-                           module_staleness, theorem1_rhs, theorem2_rhs,
+                           steady_staleness, theorem1_rhs, theorem2_rhs,
                            theorem3_lr, theorem3_bound)
 from adl.trace import compare_traces
 
@@ -77,7 +77,7 @@ def test_a01_provenance_exact_over_full_grid():
                             ok = ok and slot.version == effective_version(
                                 rec.s, slot.j, K, k, M)
                             ok = ok and rec.s - slot.version == \
-                                module_staleness(rec.s, slot.j, K, k, M)
+                                steady_staleness(K, k, M, slot.j)
                         mismatches += not ok
     dt = time.perf_counter() - t0
     print(f"\n[a01] {checked} slots checked, {mismatches} mismatches, "
@@ -87,9 +87,8 @@ def test_a01_provenance_exact_over_full_grid():
 
 
 def test_a02_group_staleness_patterns():
-    group = tuple(module_staleness(s, j, 3, 2, 4)
-                  for s in (2, 5, 9) for j in range(4))
-    assert group == (1, 1, 0, 0) * 3
+    group = tuple(steady_staleness(3, 2, 4, j) for j in range(4))
+    assert group == (1, 1, 0, 0)
     cfg, ds = _ident_case(3, 4, S=10)
     trace = run_clocked(cfg, ds)
     for rec in trace.updates:
@@ -102,7 +101,7 @@ def test_a02_group_staleness_patterns():
         if rec.s >= 6:
             for k in (1, 2, 3):
                 assert rec.s - rec.slots[k][0].version == 2 * (3 - k)
-                assert module_staleness(rec.s, 0, 3, k, 1) == 2 * (3 - k)
+                assert steady_staleness(3, k, 1, 0) == 2 * (3 - k)
     print("\n[a02] K=3,M=4,k=2 group = (1,1,0,0); M=1 delay = 2(K-k)")
 
 

@@ -111,6 +111,32 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     ({"data": {"dim": "2"}}, "two_spirals has a fixed dim of 2"),
     ({"run": {"trace_level": "verbose"}}, "trace_level must be updates|ticks"),
     ({"optimizer": {"lr": None}}, "schedule 'constant' needs an lr value"),
+    # keys the constant schedule does not read are checked all the same
+    ({"optimizer": {"harmonic_c": "nan"}},
+     "harmonic c must be >= 0 and finite"),
+    ({"optimizer": {"warmup_epochs": "-1"}},
+     "warmup_epochs must be >= 0 and finite"),
+    ({"optimizer": {"decay_factor": "nan"}},
+     "decay factor must be >= 0 and finite"),
+    ({"optimizer": {"milestones": "2 1"}}, "milestones must not decrease"),
+    ({"optimizer": {"milestones": "nan"}},
+     "milestone must be >= 0 and finite"),
+    ({"optimizer": {"milestones": "1 -2"}},
+     "milestone must be >= 0 and finite"),
+    ({"optimizer": {"epsilon": "nan"}}, "epsilon must be positive and finite"),
+    ({"optimizer": {"gap": "-1"}}, "gap must be positive and finite"),
+    ({"optimizer": {"grad_bound": "nan"}},
+     "grad_bound must be positive and finite"),
+    ({"optimizer": {"smoothness": "-1"}},
+     "smoothness must be positive and finite"),
+    # and so is an lr that the harmonic and theorem3 schedules do not read
+    ({"optimizer": {"schedule": "harmonic", "harmonic_c": "0.1",
+                    "lr": "nan"}}, "learning rate must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "harmonic", "harmonic_c": "0.1",
+                    "lr": "-1"}}, "learning rate must be >= 0 and finite"),
+    ({"optimizer": {"schedule": "theorem3", "gap": "1", "grad_bound": "1",
+                    "smoothness": "1", "lr": "nan"}},
+     "learning rate must be >= 0 and finite"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, bad, msg):
     cfg = write_cfg(tmp_path, **bad)
@@ -327,7 +353,15 @@ def test_bounds_domain_error_exit_2(capsys):
             ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
              "--lr", "nan", "--grad-norm-sq", "1"],
             ["bounds", "--modules", "2", "--ga-steps", "1", *bound,
-             "--lr", "0.1", "--grad-norm-sq", "nan"]):
+             "--lr", "0.1", "--grad-norm-sq", "nan"],
+            # an option is checked even when its partner is absent
+            *(["bounds", "--modules", "2", "--ga-steps", "1", *bound,
+               option, value]
+              for option, value in (
+                  ("--lr", "nan"), ("--grad-norm-sq", "-1"),
+                  ("--harmonic-c", "-1"), ("--harmonic-c", "nan"),
+                  ("--epsilon", "nan"), ("--epsilon", "-2"),
+                  ("--updates", "-5"), ("--updates", "0")))):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err and not captured.out, argv

@@ -1,7 +1,7 @@
 """The demos and the README examples run against the current API.
 
-Demo 04 trains for 30-40 s on a 2-core machine, so it is
-left to a manual run: python3 demos/04_ga_ablation.py
+Demo 04 trains for 30-40 s on a 2-core machine, so the tier1 workflow
+runs it in a step of its own: python3 demos/04_ga_ablation.py
 """
 import configparser
 import os

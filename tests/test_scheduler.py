@@ -18,7 +18,7 @@ from adl.partition import partition_even
 from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.scheduler import (TrainConfig, run_clocked, run_parallel,
                            schedule_position)
-from adl.staleness import effective_version, module_staleness
+from adl.staleness import effective_version, steady_staleness
 from adl.trace import compare_traces, read_csv
 from adl import data, scheduler
 
@@ -97,8 +97,8 @@ def test_provenance_matches_staleness_formulas(K, M, ident_case):
                     assert sl.skipped
                 else:
                     assert sl.version == effective_version(rec.s, j, K, k, M)
-                    assert rec.s - sl.version == module_staleness(
-                        rec.s, j, K, k, M)
+                    assert rec.s - sl.version == steady_staleness(
+                        K, k, M, j)
 
 
 def test_group_delay_pattern_k3_m4(ident_case):

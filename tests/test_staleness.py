@@ -17,23 +17,24 @@ query = st.tuples(st.integers(0, 60),    # s
 # ---------------------------------------------------------------- LoS core
 
 def test_module_staleness_group_pattern():
-    # K=3, k=2, M=4: the four slots of any steady update see delays 1,1,0,0
-    got = [stale.module_staleness(1, j, 3, 2, 4) for j in range(4)]
+    # K=3, k=2, M=4: the four slots of every update see delays 1,1,0,0
+    got = [stale.steady_staleness(3, 2, 4, j) for j in range(4)]
     assert got == [1, 1, 0, 0]
-    got_later = [stale.module_staleness(9, j, 3, 2, 4) for j in range(4)]
-    assert got_later == [1, 1, 0, 0]
+    for s in (0, 1, 9):
+        assert [s - stale.effective_version(s, j, 3, 2, 4)
+                for j in range(4)] == [min(s, d) for d in got]
 
 
 def test_top_module_never_stale():
     for K in range(1, 8):
         for M in (1, 2, 4):
             for j in range(M):
-                assert stale.module_staleness(3, j, K, K, M) == 0
+                assert stale.steady_staleness(K, K, M, j) == 0
 
 
 def test_no_accumulation_delay_is_two_per_hop():
     # M=1: steady-state delay is exactly 2*(K-k) updates
-    assert stale.module_staleness(20, 0, 8, 1, 1) == 14
+    assert 20 - stale.effective_version(20, 0, 8, 1, 1) == 14
     for k in range(1, 9):
         assert stale.steady_staleness(8, k, 1, 0) == 2 * (8 - k)
 
@@ -44,13 +45,10 @@ def test_staleness_bounds_and_clamping(q, data):
     s, K, M = q
     k = data.draw(st.integers(1, K))
     j = data.draw(st.integers(0, M - 1))
-    d = stale.module_staleness(s, j, K, k, M)
-    d_steady = stale.steady_staleness(K, k, M, j)
-    assert 0 <= d <= s or d == d_steady
-    assert 0 <= d_steady <= 2 * (K - k)
-    # once the pipeline is full the closed form is exact
-    if M * s + j - 2 * (K - k) >= 0:
-        assert d == d_steady
+    d = stale.steady_staleness(K, k, M, j)
+    assert 0 <= d <= 2 * (K - k)
+    # the closed form is exact for every s, pipeline fill included
+    assert d == s - (M * s + j - 2 * (K - k)) // M
     v = stale.effective_version(s, j, K, k, M)
     assert v == max(0, s - d)
     assert 0 <= v <= s
@@ -62,11 +60,14 @@ def test_averaged_los_is_group_average(q, data):
     _, K, M = q
     k = data.draw(st.integers(1, K))
     a = stale.averaged_los(K, k, M)
-    s_big = 2 * K + 3  # far past pipeline fill for any M
-    brute = Fraction(sum(stale.module_staleness(s_big, j, K, k, M)
-                         for j in range(M)), M)
-    assert a == brute
+    for s in (0, 10 ** 6):  # first update, and far past pipeline fill
+        brute = Fraction(sum(s - (M * s + j - 2 * (K - k)) // M
+                             for j in range(M)), M)
+        assert a == brute == Fraction(2 * (K - k), M)
     assert isinstance(a, Fraction)
+    total = stale.averaged_los_sum(K, M)
+    assert total == Fraction(K * (K - 1), M)
+    assert total == sum(stale.averaged_los(K, i, M) for i in range(1, K + 1))
 
 
 def test_averaged_los_examples():
@@ -158,7 +159,6 @@ def test_theorem3_examples():
     bound = stale.theorem3_bound(1.0, 1.0, 4, 1.0, 1.0, 1, 0.0)
     assert bound == 2.0
     assert stale.theorem3_bound(1.0, 1.0, 16, 1.0, 1.0, 1, 0.0) == 1.0
-    assert stale.theorem3_lr_ok(1.0, 1.0, 4, 1.0, 1.0, 1, 0.0)
 
 
 def test_theorem3_staleness_pushes_lr_down():
@@ -174,11 +174,11 @@ def test_epsilon_one_minimizes_leading_factor():
 
 def test_domain_validation():
     with pytest.raises(DomainError):
-        stale.module_staleness(-1, 0, 3, 1, 1)
+        stale.effective_version(-1, 0, 3, 1, 1)
     with pytest.raises(DomainError):
-        stale.module_staleness(0, 4, 3, 1, 4)
+        stale.steady_staleness(3, 1, 4, 4)
     with pytest.raises(DomainError):
-        stale.module_staleness(0, 0, 3, 4, 1)
+        stale.steady_staleness(3, 4, 1, 0)
     with pytest.raises(DomainError):
         stale.theorem3_lr(1.0, -1.0, 4, 1.0, 1.0, 1, 0.0)
     with pytest.raises(DomainError):
