@@ -49,11 +49,11 @@ def full_loss_and_acc(flat):
 def train(K, M, runner, seed):
     cfg = TrainConfig(SPECS, partition_even(len(SPECS), K), "softmax_ce",
                       M, 16, TOTAL_BATCHES // M, ConstantLr(LR),
-                      seed=seed, init_scale=1.5, record_params=True)
+                      seed=seed, init_scale=1.5)
     trace = runner(cfg, DATA)
     if trace.diverged:
         return float("inf"), 0.0
-    return full_loss_and_acc(trace.params[-1])
+    return full_loss_and_acc(trace.final_params)
 
 
 print(f"two spirals, {len(SPECS)}-layer tanh net, lr={LR}, "

@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data as data_mod
 from . import net
 from .errors import AdlError, ConfigError, check_finite_nonneg
@@ -302,7 +304,7 @@ def cmd_bounds(args) -> int:
         lines.append(f"theorem1_rhs: {r1!r} "
                      f"({'descent' if r1 < 0 else 'no descent certified'})")
     if args.harmonic_c is not None and args.gap is not None:
-        lrs = [args.harmonic_c / (s + 1) for s in range(args.updates)]
+        lrs = args.harmonic_c / np.arange(1, args.updates + 1)
         r2 = theorem2_rhs(lrs, args.gap, args.grad_bound, args.smoothness,
                           M, dbar)
         lines.append(f"theorem2_rhs (harmonic c={args.harmonic_c}, "

@@ -9,7 +9,9 @@ shape (out_dim, in_dim)) followed by the bias (out_dim,).
 Inputs are batches of shape (batch, in_dim).  Loss values and loss
 gradients are means over the batch rows, so gradient sums over a batch
 carry a 1/batch factor.  A NetContext keeps the loss gradient of its
-forward pass, so the backward pass starts from it.
+forward pass, so the backward pass starts from it.  An affine layer keeps
+its input for the backward, tanh and relu their output (relu's is > 0
+exactly where its input is).
 
 Everything here is deterministic: fixed loop order, no reassociating
 reductions, so repeated evaluation of the same inputs is bit-identical.
@@ -135,12 +137,12 @@ def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
     _check_input(spec, x)
     if spec.kind == AFFINE:
         w, b = _unpack_affine(spec, params)
-        return x @ w.T + b, x
-    if spec.kind == TANH:
-        y = np.tanh(x)
+        y = x @ w.T
+        y += b
+        return y, x
+    if spec.kind in (TANH, RELU):
+        y = np.tanh(x) if spec.kind == TANH else np.maximum(x, 0.0)
         return y, y
-    if spec.kind == RELU:
-        return np.maximum(x, 0.0), x
     return x, x  # identity
 
 
@@ -154,16 +156,16 @@ def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout,
     skips its input gradient and returns None for it.
     """
     if spec.kind == AFFINE:
+        grad = np.empty(params.size)  # packed like params, filled in place
+        gw, gb = _unpack_affine(spec, grad)
+        np.matmul(gout.T, intermediate, out=gw)
+        gout.sum(axis=0, out=gb)
         w, _ = _unpack_affine(spec, params)
-        x = intermediate
-        gw = gout.T @ x
-        gb = gout.sum(axis=0)
-        gx = gout @ w if input_grad else None
-        return np.concatenate([gw.ravel(), gb.ravel()]), gx
-    if spec.kind == TANH:
-        y = intermediate
-        return _NO_GRAD, gout * (1.0 - y * y)
-    if spec.kind == RELU:
+        return grad, gout @ w if input_grad else None
+    if spec.kind == TANH:  # gout * (1 - y * y) in one fresh array
+        d = np.multiply(intermediate, intermediate)
+        return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, out=d), out=d)
+    if spec.kind == RELU:  # intermediate is the output y: y > 0 iff x > 0
         return _NO_GRAD, gout * (intermediate > 0.0)
     return _NO_GRAD, gout  # identity
 

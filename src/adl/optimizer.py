@@ -11,6 +11,7 @@ but still count toward the group), then ga_update applies
     theta = theta - lr * v
 
 returning fresh arrays so older parameter versions are never mutated.
+At momentum 0, v = g' is not kept and the velocity returned is None.
 The empty vectors of parameterless layers are passed through unchanged:
 they hold nothing to sum, step or mutate.
 """
@@ -103,6 +104,7 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     is always the full group size M even when some slots were skipped.
     Returns (new_params, new_velocity, avg_grads); inputs are untouched,
     and the empty vectors of parameterless layers pass through as they are.
+    new_velocity is None at momentum 0, which reads no velocity.
     """
     if not acc.full:
         raise ProtocolError(
@@ -110,17 +112,19 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
     avg = [gs / acc.capacity if gs.size else gs for gs in acc.grad_sums]
-    if velocity is None:
+    momentum = sgd.momentum != 0.0
+    if momentum and velocity is None:
         velocity = [np.zeros_like(p) for p in params]
     new_params, new_velocity = [], []
-    for p, g, v in zip(params, avg, velocity):
+    for p, g, v in zip(params, avg, velocity if momentum else avg):
         if p.size:  # an empty vector passes through
             step = g + sgd.weight_decay * p if sgd.weight_decay != 0.0 else g
-            v = sgd.momentum * v + step if sgd.momentum != 0.0 else step
-            p = p - lr * v
+            v = sgd.momentum * v + step if momentum else step
+            q = np.multiply(lr, v)  # becomes the new version: p - lr * v
+            p = np.subtract(p, q, out=q)
         new_params.append(p)
         new_velocity.append(v)
-    return new_params, new_velocity, avg
+    return new_params, new_velocity if momentum else None, avg
 
 
 def grads_sumsq(grads) -> float:

@@ -112,4 +112,6 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         trace = _assemble(cfg, "delayed-replay", groups())
     trace.wall_time = time.perf_counter() - t0
+    if not trace.diverged:
+        trace.final_params = np.concatenate(params)
     return trace

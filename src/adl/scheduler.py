@@ -404,6 +404,9 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
         w.check_drained()
     trace = _assemble(cfg, mode, zip(*(w.update_records for w in workers)))
     trace.wall_time = wall
+    if not trace.diverged:
+        trace.final_params = np.concatenate([p for w in workers
+                                             for p in w.params])
     if cfg.trace_ticks:
         last = trace.updates[-1].tick if trace.diverged else math.inf
         trace.events = list(_tick_events(cfg, last))

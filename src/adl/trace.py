@@ -58,6 +58,7 @@ class RunTrace:
     params: list = None  # params[v] = flat vector at version v (v = 0..S)
     grads: list = None   # grads[s] = flat averaged gradient of update s+1
     events: list = None  # TickEvent list when tick-level tracing is on
+    final_params: np.ndarray = None  # flat version S; None if diverged
 
     @property
     def S(self) -> int:

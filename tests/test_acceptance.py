@@ -195,11 +195,10 @@ def test_a08_quadratic_reaches_critical_point():
     assert L * lr_at(schedule, 0) <= 1.0 + 1e-12
     specs = [affine(20, 1), identity(1), identity(1), identity(1)]
     cfg = TrainConfig(specs, partition_even(4, 4), "mse", 4, 256, 5000,
-                      schedule, seed=0, init_scale=0.05,
-                      record_params=True)
+                      schedule, seed=0, init_scale=0.05)
     trace = run_clocked(cfg, ds)
     assert not trace.diverged
-    states = _load_flat(specs, trace.params[-1])
+    states = _load_flat(specs, trace.final_params)
     _, ctx = net_forward(specs, states, ds.inputs, "mse", ds.targets)
     grads, _ = net_backward(specs, states, ctx)
     gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
@@ -220,7 +219,7 @@ def _deep_spiral_specs(h=32):
 def _final_training_loss(specs, trace, ds):
     if trace.diverged:
         return float("inf")
-    states = _load_flat(specs, trace.params[-1])
+    states = _load_flat(specs, trace.final_params)
     loss, _ = net_forward(specs, states, ds.inputs, "softmax_ce",
                           ds.targets)
     return float(loss)
@@ -235,7 +234,7 @@ def test_a09_ga_ablation_on_deep_pipeline():
     def run(K, M, runner, seed):
         cfg = TrainConfig(specs, partition_even(len(specs), K),
                           "softmax_ce", M, 16, total_batches // M, lr,
-                          seed=seed, init_scale=1.5, record_params=True)
+                          seed=seed, init_scale=1.5)
         trace = runner(cfg, ds)
         return _final_training_loss(specs, trace, ds), trace.diverged
 

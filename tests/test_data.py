@@ -146,13 +146,12 @@ def test_four_layer_tanh_net_masters_noiseless_spirals():
              net.tanh(16), net.affine(16, 16), net.tanh(16),
              net.affine(16, 2)]
     cfg = TrainConfig(specs, partition_even(7, 1), net.SOFTMAX_CE, 1, 32,
-                      6000, ConstantLr(1.0), seed=0, init_scale=1.0,
-                      record_params=True)
+                      6000, ConstantLr(1.0), seed=0, init_scale=1.0)
     trace = sync_ga_sgd(cfg, ds)
     states = [state_for(sp) for sp in specs]
     off = 0
     for st in states:
-        st[:] = trace.params[-1][off:off + st.size]
+        st[:] = trace.final_params[off:off + st.size]
         off += st.size
     _, ctx = net.net_forward(specs, states, ds.inputs, net.SOFTMAX_CE,
                              ds.targets)

@@ -53,6 +53,42 @@ def test_relu_derivative_at_zero_is_zero():
     np.testing.assert_array_equal(xgrad, [[0.0]])
 
 
+def test_relu_keeps_its_output_for_the_backward():
+    # the output is positive exactly where the input is, -0.0 and NaN
+    # included, so the backward reads it in place of the input
+    spec = net.relu(5)
+    state = net.state_for(spec)
+    y, inter = net.layer_forward(spec, state,
+                                 np.array([[-1.0, -0.0, 0.0, 2.0, np.nan]]))
+    assert inter is y
+    _, xgrad = net.layer_backward(spec, state, inter, np.full((1, 5), 3.0))
+    np.testing.assert_array_equal(xgrad, [[0.0, 0.0, 0.0, 3.0, 0.0]])
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("batch,n_in,n_out", [(1, 1, 1), (5, 3, 4),
+                                              (64, 256, 256), (64, 256, 1)])
+def test_affine_kernels_match_the_plain_expressions(batch, n_in, n_out,
+                                                    input_grad):
+    # bit for bit: the forward against x @ w.T + b, the packed gradient
+    # against the concatenation of gout.T @ x and the bias sum
+    spec = net.affine(n_in, n_out)
+    state = net.init_states([spec], seed=3)[0].params
+    w, b = state[:n_out * n_in].reshape(n_out, n_in), state[n_out * n_in:]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(batch, n_in))
+    gout = rng.normal(size=(batch, n_out))
+    y, inter = net.layer_forward(spec, state, x)
+    assert y.tobytes() == (x @ w.T + b).tobytes()
+    pg, xg = net.layer_backward(spec, state, inter, gout, input_grad)
+    want = np.concatenate([(gout.T @ x).ravel(), gout.sum(axis=0)])
+    assert pg.shape == want.shape and pg.tobytes() == want.tobytes()
+    if input_grad:
+        assert xg.tobytes() == (gout @ w).tobytes()
+    else:
+        assert xg is None
+
+
 def test_identity_net_zero_loss():
     specs = [net.identity(3)]
     states = [net.state_for(specs[0])]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from adl.scheduler import (TrainConfig, run_clocked, run_parallel,
                            schedule_position)
 from adl.staleness import effective_version, steady_staleness
 from adl.trace import compare_traces, read_csv
-from adl import data, scheduler
+from adl import data, oracle, scheduler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -196,6 +197,33 @@ def test_a_version_is_freed_after_its_last_reader(K, M, runner, spiral_case,
     assert runner(cfg, ds).S == S
     assert all(refs.values())
     assert wrong == []
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel, sync_ga_sgd,
+                                    delayed_replay])
+@pytest.mark.parametrize("K", (1, 2, 3))
+def test_an_averaged_gradient_dies_with_its_update(K, runner, spiral_case,
+                                                   monkeypatch):
+    # at momentum 0 and without record_grads nothing reads an update's
+    # averaged gradient after grads_sumsq, so when ga_update is entered no
+    # average an earlier call of the same thread returned is alive; each
+    # module of run_parallel is a thread, the other runners' modules take
+    # turns on one
+    refs, alive, ga_update = {}, [], scheduler.ga_update
+
+    def watched(*args):
+        mine = refs.setdefault(threading.get_ident(), [])
+        alive.extend(ref for ref in mine if ref() is not None)
+        out = ga_update(*args)
+        mine.extend(weakref.ref(g) for g in out[2] if g.size)
+        return out
+
+    monkeypatch.setattr(scheduler, "ga_update", watched)
+    monkeypatch.setattr(oracle, "ga_update", watched)
+    cfg, ds = spiral_case(K, 2, S=4)
+    assert runner(cfg, ds).S == 4
+    assert sum(map(len, refs.values())) == 4 * 4  # S times 4 affine layers
+    assert alive == []
 
 
 def test_tick_events_example(ident_case):
