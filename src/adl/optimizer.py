@@ -10,8 +10,10 @@ but still count toward the group), then ga_update applies
     v     = momentum * v + g'
     theta = theta - lr * v
 
-returning fresh arrays so older parameter versions are never mutated.
-At momentum 0, v = g' is not kept and the velocity returned is None.
+returning fresh parameter arrays so older versions are never mutated.
+The velocity v is private to its module and never recorded, so it is
+stepped in place.  At momentum 0, v = g' is not kept and the velocity
+returned is None.
 The empty vectors of parameterless layers are passed through unchanged:
 they hold nothing to sum, step or mutate.
 """
@@ -102,9 +104,10 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
 
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
-    Returns (new_params, new_velocity, avg_grads); inputs are untouched,
-    and the empty vectors of parameterless layers pass through as they are.
-    new_velocity is None at momentum 0, which reads no velocity.
+    Returns (new_params, velocity, avg_grads).  params and acc are
+    untouched, and the empty vectors of parameterless layers pass through
+    as they are.  The velocity, zeros when None is passed, is stepped in
+    place; at momentum 0 none is read and None is returned.
     """
     if not acc.full:
         raise ProtocolError(
@@ -115,16 +118,21 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     momentum = sgd.momentum != 0.0
     if momentum and velocity is None:
         velocity = [np.zeros_like(p) for p in params]
-    new_params, new_velocity = [], []
+    new_params = []
     for p, g, v in zip(params, avg, velocity if momentum else avg):
         if p.size:  # an empty vector passes through
-            step = g + sgd.weight_decay * p if sgd.weight_decay != 0.0 else g
-            v = sgd.momentum * v + step if momentum else step
-            q = np.multiply(lr, v)  # becomes the new version: p - lr * v
+            step = g
+            if sgd.weight_decay != 0.0:  # wd * p + g, the bits of g + wd * p
+                step = np.multiply(sgd.weight_decay, p)
+                step += g
+            if momentum:  # the velocity is private to its module: in place
+                v *= sgd.momentum
+                v += step
+                step = v
+            q = np.multiply(lr, step)  # becomes the new version: p - lr * v
             p = np.subtract(p, q, out=q)
         new_params.append(p)
-        new_velocity.append(v)
-    return new_params, new_velocity if momentum else None, avg
+    return new_params, velocity if momentum else None, avg
 
 
 def grads_sumsq(grads) -> float:

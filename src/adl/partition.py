@@ -33,9 +33,6 @@ class Partition:
             raise ConfigError(f"module index {k} outside 1..{self.K}")
         return range(self.bounds[k - 1], self.bounds[k])
 
-    def sizes(self) -> list:
-        return [hi - lo for lo, hi in zip(self.bounds, self.bounds[1:])]
-
 
 def partition_even(num_layers: int, K: int) -> Partition:
     """Split as evenly as possible; earlier modules get the extra layers."""

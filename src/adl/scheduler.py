@@ -20,7 +20,9 @@ so each stash entry carries the parameter list its forward read.  Updates
 build fresh arrays, so that reference is the snapshot: an unrecorded
 version lives exactly as long as it is current or a stashed batch reads it.
 
-A ModuleWorker computes on plain arrays.  feed_slot alone owns the slot
+A ModuleWorker computes on plain arrays, and process_slot is its whole
+slot: forward, stash, delayed backward, accumulation and update, with the
+backward's arrays dead before the update.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the messages, plain
 (batch, payload, target) tuples, on FIFO edges keyed (sender, receiver),
 and both runners feed every slot through it.  They differ only in the
@@ -173,69 +175,15 @@ class ModuleWorker:
         self.two_delta = 2 * (cfg.K - k)
         # batches u < stash_end have a backward in this module
         self.stash_end = cfg.total_batches - self.two_delta
-        self.layer_range = cfg.partition.layers_of(k)
-        self.specs = [cfg.layers[i] for i in self.layer_range]
-        self.params = [states[i].params for i in self.layer_range]
+        layers = cfg.partition.layers_of(k)
+        self.specs = [cfg.layers[i] for i in layers]
+        self.params = [states[i].params for i in layers]
         self.velocity = None
         self.version = 0
         self.stash = deque()  # FIFO of (batch, intermediates, version, params)
         self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
         self.update_records = []
         self._losses = []  # module K: the open group's batch losses
-
-    def _forward(self, u: int, x: np.ndarray, target):
-        """Forward batch u; module K returns the loss gradient instead of
-        its prediction."""
-        if self.version != u // self.M:
-            raise ProtocolError(
-                f"version law broken: module {self.k} at version "
-                f"{self.version} forwarding batch {u}")
-        intermediates = []
-        h = x
-        for spec, p_flat in zip(self.specs, self.params):
-            h, inter = layer_forward(spec, p_flat, h)
-            intermediates.append(inter)
-        if self.is_last:
-            loss, h = loss_and_grad(self.cfg.loss, h, target)
-            self._losses.append(loss)
-        # stash what the delayed backward reads, if one will
-        if u < self.stash_end:
-            self.stash.append((u, intermediates, self.version, self.params))
-            if len(self.stash) > self.two_delta + 1:
-                raise ProtocolError(
-                    f"stash occupancy {len(self.stash)} exceeds "
-                    f"{self.two_delta + 1} in module {self.k}")
-        return h
-
-    def _backward(self, t_b: int, gout: np.ndarray):
-        if not self.stash or self.stash[0][0] != t_b:
-            raise ProtocolError(
-                f"module {self.k} stash head is not batch {t_b}")
-        _, intermediates, version, sparams = self.stash.popleft()
-        grads = [None] * len(self.specs)
-        g = gout
-        for i in range(len(self.specs) - 1, -1, -1):
-            # module 1's input gradient has no reader
-            grads[i], g = layer_backward(self.specs[i], sparams[i],
-                                         intermediates[i], g,
-                                         i > 0 or self.k > 1)
-        self.acc.add(grads, t_b, version)
-        return g
-
-    def _update(self):
-        cfg = self.cfg
-        slots = self.acc.slots  # reset() starts a new list
-        self.params, self.velocity, avg = ga_update(
-            self.params, self.acc, lr_at(cfg.schedule, self.version), cfg.sgd,
-            self.velocity)
-        self.acc.reset()
-        # _losses is empty outside module K, and tuple() of it is ()
-        self.update_records.append(WorkerUpdate(
-            grads_sumsq(avg), slots,
-            self.params if cfg.record_params else None,
-            avg if cfg.record_grads else None, tuple(self._losses)))
-        self._losses.clear()
-        self.version += 1
 
     @property
     def snapshots(self):
@@ -245,18 +193,59 @@ class ModuleWorker:
     def process_slot(self, u: int, x, target, gout):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
         t_b = u - 2*(K-k) from gout, the gradient of its output (module K
-        uses its own loss gradient), and update if u closes a group.
-        Returns (output, input gradient of t_b or None if t_b < 0)."""
-        y = self._forward(u, x, target)
-        t_b = u - self.two_delta
-        g_in = None
+        outputs and uses its own loss gradient), and update if u closes a
+        group.  Returns (output, input gradient of t_b or None if t_b < 0)."""
+        if self.version != u // self.M:
+            raise ProtocolError(
+                f"version law broken: module {self.k} at version "
+                f"{self.version} forwarding batch {u}")
+        specs, n = self.specs, len(self.specs)
+        inters = [None] * n  # filled by index: no loop variable outlives it
+        h = x
+        for i in range(n):
+            h, inters[i] = layer_forward(specs[i], self.params[i], h)
+        if self.is_last:
+            loss, h = loss_and_grad(self.cfg.loss, h, target)
+            self._losses.append(loss)
+        # stash what the delayed backward reads, if one will
+        if u < self.stash_end:
+            self.stash.append((u, inters, self.version, self.params))
+            if len(self.stash) > self.two_delta + 1:
+                raise ProtocolError(
+                    f"stash occupancy {len(self.stash)} exceeds "
+                    f"{self.two_delta + 1} in module {self.k}")
+        t_b, g = u - self.two_delta, None
         if t_b >= 0:
-            g_in = self._backward(t_b, y if self.is_last else gout)
+            if not self.stash or self.stash[0][0] != t_b:
+                raise ProtocolError(
+                    f"module {self.k} stash head is not batch {t_b}")
+            _, inters, version, sparams = self.stash.popleft()
+            grads = [None] * n
+            g = h if self.is_last else gout
+            for i in range(n - 1, -1, -1):
+                # module 1's input gradient has no reader
+                grads[i], g = layer_backward(specs[i], sparams[i], inters[i],
+                                             g, i > 0 or self.k > 1)
+            self.acc.add(grads, t_b, version)
+            del sparams, grads
         else:
             self.acc.add_skipped(t_b)
+        del inters  # the backward's arrays are dead before the update
         if u % self.M == self.M - 1:
-            self._update()
-        return y, g_in
+            cfg = self.cfg
+            slots = self.acc.slots  # reset() starts a new list
+            self.params, self.velocity, avg = ga_update(
+                self.params, self.acc, lr_at(cfg.schedule, self.version),
+                cfg.sgd, self.velocity)
+            self.acc.reset()
+            # _losses is empty outside module K, and tuple() of it is ()
+            self.update_records.append(WorkerUpdate(
+                grads_sumsq(avg), slots,
+                self.params if cfg.record_params else None,
+                avg if cfg.record_grads else None, tuple(self._losses)))
+            self._losses.clear()
+            self.version += 1
+        return h, g
 
     def check_drained(self):
         if self.stash:

@@ -116,22 +116,22 @@ def test_worker_rejects_a_stash_beyond_its_delay(spiral_case):
     cfg, _ = spiral_case(2, 4, S=2)
     w = scheduler.build_workers(cfg)[0]
     x = np.zeros((cfg.batch_size, 2))
-    for u in range(w.two_delta + 1):
-        w._forward(u, x, None)
+    for _ in range(w.two_delta + 1):
+        w.process_slot(0, x, None, None)
     with pytest.raises(ProtocolError, match="stash occupancy 4 exceeds 3"):
-        w._forward(w.two_delta + 1, x, None)
+        w.process_slot(0, x, None, None)
 
 
 def test_worker_rejects_a_backward_out_of_stash_order(spiral_case):
     cfg, _ = spiral_case(2, 2, S=6)
     w = scheduler.build_workers(cfg)[0]
     x = np.zeros((cfg.batch_size, 2))
-    w._forward(0, x, None)
-    w._forward(1, x, None)
+    w.process_slot(0, x, None, None)
+    w.process_slot(1, x, None, None)
     gout = np.zeros((cfg.batch_size, cfg.layers[2].out_dim))
     with pytest.raises(ProtocolError, match="module 1 stash head is not "
                                             "batch 1"):
-        w._backward(1, gout)
+        w.process_slot(3, x, None, gout)
 
 
 def _sync_worker(spiral_case, slots):
@@ -148,7 +148,7 @@ def _sync_worker(spiral_case, slots):
 def test_drain_check_rejects_stashed_contexts(spiral_case):
     cfg, _ = spiral_case(2, 2, S=6)
     w = scheduler.build_workers(cfg)[0]
-    w._forward(0, np.zeros((cfg.batch_size, 2)), None)
+    w.process_slot(0, np.zeros((cfg.batch_size, 2)), None, None)
     with pytest.raises(ProtocolError,
                        match="module 1 ended with 1 stashed contexts"):
         w.check_drained()

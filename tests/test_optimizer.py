@@ -1,15 +1,20 @@
 """Accumulator semantics, the accumulated-SGD step, and LR schedules."""
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl import data, net
 from adl.errors import DomainError, ProtocolError
 from adl.optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig,
                            Slot, StepDecay, ga_update, global_grad_norm,
                            grads_sumsq, lr_at, scaled_base_lr)
+from adl.partition import Partition
+from adl.scheduler import TrainConfig, run_clocked
 
 
 def acc_of(*grads, capacity=None, sizes=(1,)):
@@ -130,6 +135,29 @@ def test_update_returns_fresh_arrays():
         assert fresh[0] is not ref[0]
     acc.reset()
     np.testing.assert_array_equal(avg[0], [1.0])  # unaffected by reset
+
+
+def test_momentum_costs_the_velocity_and_no_more():
+    # the width-256 relu regression net split 2+2 layer pairs plus the head
+    # (K=2, M=1, 32 updates): the velocity is stepped in place, so momentum
+    # raises run_clocked's tracemalloc peak by the velocity's own bytes
+    # (2.01 MiB), not by a second layer-sized temporary on top of them
+    specs = [net.affine(256, 256), net.relu(256)] * 4 + [net.affine(256, 1)]
+    ds = data.gen_linreg(1024, 256, 0.1, seed=1)
+
+    def peak(momentum):
+        cfg = TrainConfig(specs, Partition((0, 4, 9)), net.MSE, 1, 64, 32,
+                          ConstantLr(0.01), SgdConfig(momentum), seed=2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_clocked(cfg, ds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    velocity = 8 * sum(s.param_count for s in specs)
+    assert peak(0.9) - peak(0.0) <= 1.05 * velocity
 
 
 def test_grad_norm_helpers():

@@ -226,6 +226,69 @@ def test_an_averaged_gradient_dies_with_its_update(K, runner, spiral_case,
     assert alive == []
 
 
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel])
+@pytest.mark.parametrize("K,M", [(2, 1), (3, 2), (4, 3)])
+def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
+                                                        spiral_case,
+                                                        monkeypatch):
+    # when ga_update is entered, the slot's backward is over: none of the
+    # parameter gradients layer_backward returned is alive, the module
+    # holds only its live version and its stashed batches' versions, and
+    # of this slot's layer outputs only the last and the stashed ones are
+    # alive; each module of run_parallel is a thread, and the state below
+    # is kept per thread
+    local, wrong, updates = threading.local(), [], []
+    versions = {}  # (module, version) -> weak reference to its first array
+    grads = {}  # thread -> weak references to its parameter gradients
+    process_slot = scheduler.ModuleWorker.process_slot
+    forward, backward = scheduler.layer_forward, scheduler.layer_backward
+    ga_update = scheduler.ga_update
+
+    def slot(worker, *args):
+        first = next(p for p in worker.params if p.size)
+        versions.setdefault((worker.k, worker.version), weakref.ref(first))
+        local.worker, local.outputs = worker, []
+        return process_slot(worker, *args)
+
+    def watched_forward(*args):
+        out = forward(*args)
+        local.outputs.append(weakref.ref(out[0]))
+        return out
+
+    def watched_backward(*args):
+        out = backward(*args)
+        if out[0].size:
+            grads.setdefault(threading.get_ident(), []).append(
+                weakref.ref(out[0]))
+        return out
+
+    def update(*args):
+        w = local.worker
+        updates.append(w.k)
+        if any(ref() is not None
+               for ref in grads.get(threading.get_ident(), ())):
+            wrong.append((w.k, w.version, "parameter gradient"))
+        alive = {v for (k, v), ref in versions.items()
+                 if k == w.k and ref() is not None}
+        if alive != {w.version} | {v for _, _, v, _ in w.stash}:
+            wrong.append((w.k, w.version, "versions", sorted(alive)))
+        kept = {id(a) for _, inters, _, _ in w.stash for a in inters}
+        outputs = [ref() for ref in local.outputs[:-1]]
+        if any(a is not None and id(a) not in kept for a in outputs):
+            wrong.append((w.k, w.version, "intermediate"))
+        del outputs
+        return ga_update(*args)
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", slot)
+    monkeypatch.setattr(scheduler, "layer_forward", watched_forward)
+    monkeypatch.setattr(scheduler, "layer_backward", watched_backward)
+    monkeypatch.setattr(scheduler, "ga_update", update)
+    cfg, ds = spiral_case(K, M, S=4)
+    assert runner(cfg, ds).S == 4
+    assert len(updates) == len(versions) == K * 4  # versions 0..S-1 read
+    assert wrong == []
+
+
 def test_tick_events_example(ident_case):
     # 3-module pipeline, M=4: at tick 5 module 2 forwards batch 4 and
     # backpropagates batch 2, with no update; its first update lands at
