@@ -77,25 +77,6 @@ def identity(dim: int) -> LayerSpec:
 LayerState = namedtuple("LayerState", "params")
 
 
-def state_for(spec: LayerSpec, params=None) -> np.ndarray:
-    """spec's flat parameter vector: zeros, or params checked and flattened."""
-    if params is None:
-        params = np.zeros(spec.param_count)
-    params = np.asarray(params, dtype=np.float64).ravel()
-    if params.size != spec.param_count:
-        raise DimensionError(
-            f"{spec.kind} {spec.in_dim}->{spec.out_dim} needs "
-            f"{spec.param_count} parameters, got {params.size}")
-    return params
-
-
-def affine_state(spec: LayerSpec, weight, bias=None) -> np.ndarray:
-    """Pack an explicit weight matrix (out_dim, in_dim) and bias."""
-    w = np.asarray(weight, dtype=np.float64).reshape(spec.out_dim, spec.in_dim)
-    b = np.zeros(spec.out_dim) if bias is None else np.asarray(bias, dtype=np.float64)
-    return state_for(spec, np.concatenate([w.ravel(), b.ravel()]))
-
-
 def init_states(specs, seed: int, scale: float = 1.0) -> list:
     """Deterministic parameter init: affine weights ~ N(0, (scale/sqrt(in_dim))^2),
     biases zero.  Same (specs, seed, scale) always yields identical states."""
@@ -230,24 +211,3 @@ def net_backward(specs, params, ctx: NetContext, input_grad: bool = True):
                                            i > 0 or input_grad)
     return param_grads, g
 
-
-def finite_diff_grad(specs, params, x, loss_kind: str, target,
-                     step: float = 1e-6):
-    """Central-difference gradient of the loss w.r.t. every parameter.
-
-    Independent of the analytic backward pass; O(param_count) forward
-    evaluations, intended as a test oracle on small networks.
-    """
-    grads = []
-    for li, p in enumerate(params):
-        g = np.zeros_like(p)
-        for pi in range(p.size):
-            hi, lo = list(params), list(params)
-            hi[li], lo[li] = p.copy(), p.copy()
-            hi[li][pi] += step
-            lo[li][pi] -= step
-            f_hi, _ = net_forward(specs, hi, x, loss_kind, target)
-            f_lo, _ = net_forward(specs, lo, x, loss_kind, target)
-            g[pi] = (f_hi - f_lo) / (2.0 * step)
-        grads.append(g)
-    return grads

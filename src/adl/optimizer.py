@@ -58,8 +58,7 @@ class Accumulator:
         if capacity < 1:
             raise DomainError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._shapes = [int(n) for n in param_shapes]
-        self.grad_sums = [np.zeros(n) for n in self._shapes]
+        self.grad_sums = [np.zeros(int(n)) for n in param_shapes]
         self.slots = []
 
     @property

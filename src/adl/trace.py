@@ -12,7 +12,9 @@ of the averaged accumulated gradient.  d_kj = s - version_used is
 derived and not read back.  Skipped fill slots leave version_used and
 d_kj empty.  Floats are written in shortest exact round-trip decimal
 form, so parsing the file back reproduces the same float64 bits.
-read_csv rejects a body that disagrees with the K, M and updates header.
+read_csv rejects a body that disagrees with the K, M and updates header,
+rows of one update that disagree on tick, loss or grad_norm (two NaNs
+agree), and a module whose rows do not carry j = 0..M-1 in order.
 """
 from __future__ import annotations
 
@@ -120,16 +122,29 @@ def read_csv(path) -> RunTrace:
         if len(parts) != len(CSV_COLUMNS):
             raise ComparisonError(f"{path}: bad row {line!r}")
         try:
-            s, tick = int(parts[0]), int(parts[1])
+            s = int(parts[0])
             if current is None or current.s != s:
-                current = UpdateRecord(s, tick, float(parts[2]),
+                head = ",".join(parts[:4]) + ","
+                current = UpdateRecord(s, int(parts[1]), float(parts[2]),
                                        float(parts[3]), {})
                 trace.updates.append(current)
+            agrees = line.startswith(head) or (
+                int(parts[1]) == current.tick
+                and not _gap(float(parts[2]), current.loss)
+                and not _gap(float(parts[3]), current.grad_norm))
             k, j, batch = int(parts[4]), int(parts[5]), int(parts[6])
             version = int(parts[7]) if parts[7] != "" else None
         except ValueError:
             raise ComparisonError(f"{path}: bad row {line!r}") from None
-        current.slots.setdefault(k, []).append(Slot(j, batch, version))
+        if not agrees:
+            raise ComparisonError(f"{path}: row {line!r} disagrees with "
+                                  f"the first row of update {s}")
+        slots = current.slots.setdefault(k, [])
+        if j != len(slots):
+            raise ComparisonError(
+                f"{path}: row {line!r} is slot j={j} of module {k}, "
+                f"expected j={len(slots)}")
+        slots.append(Slot(j, batch, version))
     # update s = 0..updates-1 holds modules 1..K with M slots each
     modules = set(range(1, trace.K + 1))
     sizes = [len(v) for rec in trace.updates for v in rec.slots.values()]

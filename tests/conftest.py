@@ -59,6 +59,32 @@ def grad_rel_error():
     return rel_error
 
 
+def finite_diff_grad(specs, params, x, loss_kind, target, step=1e-6):
+    """Central-difference gradient of the loss w.r.t. every parameter.
+
+    Independent of the analytic backward pass; O(param_count) forward
+    evaluations, so only for small networks.
+    """
+    grads = []
+    for li, p in enumerate(params):
+        g = np.zeros_like(p)
+        for pi in range(p.size):
+            hi, lo = list(params), list(params)
+            hi[li], lo[li] = p.copy(), p.copy()
+            hi[li][pi] += step
+            lo[li][pi] -= step
+            f_hi, _ = net.net_forward(specs, hi, x, loss_kind, target)
+            f_lo, _ = net.net_forward(specs, lo, x, loss_kind, target)
+            g[pi] = (f_hi - f_lo) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+@pytest.fixture
+def finite_diff():
+    return finite_diff_grad
+
+
 def spiral_specs(hidden=8):
     """The 6-layer tanh classifier used across the pipeline tests."""
     return [net.affine(2, hidden), net.tanh(hidden),

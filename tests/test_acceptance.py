@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from adl.data import Dataset, gen_two_spirals
-from adl.net import (affine, finite_diff_grad, identity, net_backward,
-                     net_forward, relu, state_for, tanh)
+from adl.net import (affine, identity, net_backward, net_forward, relu,
+                     tanh)
 from adl.optimizer import ConstantLr, Harmonic, lr_at
 from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.partition import partition_even
@@ -35,7 +35,8 @@ from adl.staleness import (averaged_los, effective_version,
                            theorem3_lr, theorem3_bound)
 from adl.trace import compare_traces
 
-from conftest import _ident_case, _random_net, _spiral_case, rel_error
+from conftest import (_ident_case, _random_net, _spiral_case,
+                      finite_diff_grad, rel_error)
 
 
 def _assert_equivalent(ta, tb, check_grads=False):
@@ -48,12 +49,7 @@ def _assert_equivalent(ta, tb, check_grads=False):
 
 
 def _load_flat(specs, flat):
-    states = [state_for(sp) for sp in specs]
-    off = 0
-    for st in states:
-        st[:] = flat[off:off + st.size]
-        off += st.size
-    return states
+    return np.split(flat, np.cumsum([s.param_count for s in specs])[:-1])
 
 
 def test_a01_provenance_exact_over_full_grid():

@@ -136,7 +136,6 @@ def test_sampler_uniformity_chi_square():
 def test_four_layer_tanh_net_masters_noiseless_spirals():
     # reference calibration: a 4-affine tanh classifier trained with the
     # synchronous runner separates the clean spirals almost perfectly
-    from adl.net import state_for
     from adl.oracle import sync_ga_sgd
     from adl.partition import partition_even
     from adl.scheduler import TrainConfig
@@ -148,11 +147,8 @@ def test_four_layer_tanh_net_masters_noiseless_spirals():
     cfg = TrainConfig(specs, partition_even(7, 1), net.SOFTMAX_CE, 1, 32,
                       6000, ConstantLr(1.0), seed=0, init_scale=1.0)
     trace = sync_ga_sgd(cfg, ds)
-    states = [state_for(sp) for sp in specs]
-    off = 0
-    for st in states:
-        st[:] = trace.final_params[off:off + st.size]
-        off += st.size
+    states = np.split(trace.final_params,
+                      np.cumsum([s.param_count for s in specs])[:-1])
     _, ctx = net.net_forward(specs, states, ds.inputs, net.SOFTMAX_CE,
                              ds.targets)
     accuracy = float(np.mean(np.argmax(ctx.output, axis=1) == ds.targets))

@@ -1,6 +1,6 @@
 """The demos and the README examples run against the current API.
 
-Demo 04 trains for 30-40 s on a 2-core machine, so the tier1 workflow
+Demo 04 trains for about 22 s on a 2-core machine, so the tier1 workflow
 runs it in a step of its own: python3 demos/04_ga_ablation.py
 """
 import configparser

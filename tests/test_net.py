@@ -8,21 +8,21 @@ from adl.errors import DimensionError
 
 def test_affine_forward_scalar():
     spec = net.affine(1, 1)
-    state = net.affine_state(spec, [[2.0]])
+    state = np.array([2.0, 0.0])
     y, _ = net.layer_forward(spec, state, np.array([[3.0]]))
     np.testing.assert_array_equal(y, [[6.0]])
 
 
 def test_relu_forward():
     spec = net.relu(2)
-    y, _ = net.layer_forward(spec, net.state_for(spec),
+    y, _ = net.layer_forward(spec, np.zeros(spec.param_count),
                              np.array([[-1.0, 2.0]]))
     np.testing.assert_array_equal(y, [[0.0, 2.0]])
 
 
 def test_affine_forward_dot_plus_bias():
     spec = net.affine(2, 1)
-    state = net.affine_state(spec, [[1.0, 1.0]], [1.0])
+    state = np.array([1.0, 1.0, 1.0])
     y, _ = net.layer_forward(spec, state, np.array([[2.0, 3.0]]))
     np.testing.assert_array_equal(y, [[6.0]])
 
@@ -30,7 +30,7 @@ def test_affine_forward_dot_plus_bias():
 def test_affine_backward_example():
     # d(wx+b)/dw = x, d/db = 1, d/dx = w
     spec = net.affine(1, 1)
-    state = net.affine_state(spec, [[2.0]])
+    state = np.array([2.0, 0.0])
     _, inter = net.layer_forward(spec, state, np.array([[3.0]]))
     pgrad, xgrad = net.layer_backward(spec, state, inter, np.array([[1.0]]))
     np.testing.assert_array_equal(pgrad, [3.0, 1.0])  # [dW, db]
@@ -39,7 +39,7 @@ def test_affine_backward_example():
 
 def test_relu_backward_dead_unit():
     spec = net.relu(1)
-    state = net.state_for(spec)
+    state = np.zeros(spec.param_count)
     _, inter = net.layer_forward(spec, state, np.array([[-1.0]]))
     _, xgrad = net.layer_backward(spec, state, inter, np.array([[5.0]]))
     np.testing.assert_array_equal(xgrad, [[0.0]])
@@ -47,7 +47,7 @@ def test_relu_backward_dead_unit():
 
 def test_relu_derivative_at_zero_is_zero():
     spec = net.relu(1)
-    state = net.state_for(spec)
+    state = np.zeros(spec.param_count)
     _, inter = net.layer_forward(spec, state, np.array([[0.0]]))
     _, xgrad = net.layer_backward(spec, state, inter, np.array([[7.0]]))
     np.testing.assert_array_equal(xgrad, [[0.0]])
@@ -57,7 +57,7 @@ def test_relu_keeps_its_output_for_the_backward():
     # the output is positive exactly where the input is, -0.0 and NaN
     # included, so the backward reads it in place of the input
     spec = net.relu(5)
-    state = net.state_for(spec)
+    state = np.zeros(spec.param_count)
     y, inter = net.layer_forward(spec, state,
                                  np.array([[-1.0, -0.0, 0.0, 2.0, np.nan]]))
     assert inter is y
@@ -91,7 +91,7 @@ def test_affine_kernels_match_the_plain_expressions(batch, n_in, n_out,
 
 def test_identity_net_zero_loss():
     specs = [net.identity(3)]
-    states = [net.state_for(specs[0])]
+    states = [np.zeros(specs[0].param_count)]
     x = np.array([[0.5, -1.0, 2.0]])
     loss, _ = net.net_forward(specs, states, x, net.MSE, x)
     assert loss == 0.0
@@ -100,7 +100,7 @@ def test_identity_net_zero_loss():
 def test_mse_example_loss_four():
     # one affine layer w=1, b=0: prediction 1, target 3, loss (1-3)^2
     specs = [net.affine(1, 1)]
-    states = [net.affine_state(specs[0], [[1.0]])]
+    states = [np.array([1.0, 0.0])]
     loss, _ = net.net_forward(specs, states, np.array([[1.0]]), net.MSE,
                               np.array([[3.0]]))
     assert loss == 4.0
@@ -121,7 +121,7 @@ def test_halved_objective_gradient():
     # For (1/2)*(wx - y)^2 with w=1, x=1, y=3 the weight gradient is
     # (wx-y)*x = -2; our loss is the unhalved square, so scale by 1/2.
     specs = [net.affine(1, 1)]
-    states = [net.affine_state(specs[0], [[1.0]])]
+    states = [np.array([1.0, 0.0])]
     _, ctx = net.net_forward(specs, states, np.array([[1.0]]), net.MSE,
                              np.array([[3.0]]))
     grads, _ = net.net_backward(specs, states, ctx)
@@ -148,11 +148,11 @@ def test_backward_linear_in_upstream(kind, alpha):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_net_backward_matches_finite_differences(seed, random_net,
-                                                 grad_rel_error):
+                                                 grad_rel_error, finite_diff):
     specs, states, x, loss, target = random_net(seed)
     _, ctx = net.net_forward(specs, states, x, loss, target)
     analytic, _ = net.net_backward(specs, states, ctx)
-    numeric = net.finite_diff_grad(specs, states, x, loss, target, step=1e-5)
+    numeric = finite_diff(specs, states, x, loss, target, step=1e-5)
     assert grad_rel_error(analytic, numeric) < 1e-6
 
 
@@ -213,18 +213,18 @@ def test_forward_is_deterministic(random_net):
 
 def test_zero_residual_gives_zero_grads():
     spec = net.affine(2, 2)
-    state = net.affine_state(spec, np.eye(2))
+    state = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     x = np.array([[1.0, -2.0], [0.5, 3.0]])
     _, ctx = net.net_forward([spec], [state], x, net.MSE, x)
     grads, _ = net.net_backward([spec], [state], ctx)
     np.testing.assert_array_equal(grads[0], np.zeros(6))
 
 
-def test_finite_diff_on_parameterless_net():
+def test_finite_diff_on_parameterless_net(finite_diff):
     specs = [net.identity(2), net.relu(2)]
-    states = [net.state_for(s) for s in specs]
-    grads = net.finite_diff_grad(specs, states, np.array([[1.0, -1.0]]),
-                                 net.MSE, np.array([[0.0, 0.0]]))
+    states = [np.zeros(s.param_count) for s in specs]
+    grads = finite_diff(specs, states, np.array([[1.0, -1.0]]),
+                        net.MSE, np.array([[0.0, 0.0]]))
     assert all(g.size == 0 for g in grads)
 
 
@@ -240,11 +240,9 @@ def test_init_states_reproducible():
 
 def test_dimension_validation():
     spec = net.affine(2, 3)
-    state = net.state_for(spec)
+    state = np.zeros(spec.param_count)
     with pytest.raises(DimensionError):
         net.layer_forward(spec, state, np.zeros((1, 5)))
-    with pytest.raises(DimensionError):
-        net.state_for(spec, np.zeros(4))
     with pytest.raises(DimensionError):
         net.loss_and_grad(net.MSE, np.zeros(3), np.zeros(4))
     with pytest.raises(DimensionError):
@@ -259,7 +257,8 @@ def test_layers_take_only_batches(shape):
     # a single sample is a one-row batch; no other shape is accepted
     for spec in (net.affine(2, 3), net.tanh(2), net.relu(2), net.identity(2)):
         with pytest.raises(DimensionError, match="batch"):
-            net.layer_forward(spec, net.state_for(spec), np.zeros(shape))
+            net.layer_forward(spec, np.zeros(spec.param_count),
+                              np.zeros(shape))
     with pytest.raises(DimensionError, match="batch"):
         net.loss_and_grad(net.MSE, np.zeros(shape), np.zeros(shape))
     with pytest.raises(DimensionError, match="batch"):
@@ -268,7 +267,7 @@ def test_layers_take_only_batches(shape):
 
 def test_parameterless_layers_share_one_read_only_gradient():
     x = np.array([[1.0, -2.0]])
-    grads = [net.layer_backward(spec, net.state_for(spec), x, x)[0]
+    grads = [net.layer_backward(spec, np.zeros(spec.param_count), x, x)[0]
              for spec in (net.tanh(2), net.relu(2), net.identity(2))]
     assert all(g is grads[0] and g.size == 0 for g in grads)
     assert not grads[0].flags.writeable
@@ -276,5 +275,10 @@ def test_parameterless_layers_share_one_read_only_gradient():
 
 def test_affine_packing_order():
     spec = net.affine(2, 2)
-    state = net.affine_state(spec, [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
+    # weight (out_dim, in_dim) row-major, then bias: the layer reads
+    # column i of the weight for input unit i
+    w, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])
+    state = np.concatenate([w.ravel(), b])
     np.testing.assert_array_equal(state, [1, 2, 3, 4, 5, 6])
+    y, _ = net.layer_forward(spec, state, np.eye(2))
+    np.testing.assert_array_equal(y, [[6, 9], [7, 10]])

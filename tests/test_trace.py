@@ -95,6 +95,42 @@ def test_read_csv_rejects_garbage(tmp_path):
         read_csv(p2)
 
 
+@pytest.mark.parametrize("column,edit", [
+    (1, lambda v: str(int(v) + 1)),
+    (2, lambda v: repr(float(v) + 1.0)),
+    (3, lambda v: repr(float(v) * 2.0)),
+    (5, lambda v: "0")],  # module 1 repeats j=0
+    ids=["tick", "loss", "grad_norm", "j"])
+def test_read_csv_rejects_rows_of_one_update_that_disagree(
+        tmp_path, spiral_case, column, edit):
+    cfg, ds = spiral_case(2, 2, S=3)
+    path, _ = roundtrip(run_clocked(cfg, ds), tmp_path)
+    lines = path.read_text().splitlines()
+    row = lines[6].split(",")  # update 0, module 1, j=1
+    row[column] = edit(row[column])
+    lines[6] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ComparisonError, match="trace.csv: row '0,"):
+        read_csv(path)
+
+
+def test_read_csv_takes_equal_values_spelled_differently(tmp_path,
+                                                        spiral_case):
+    # one loss written as 1.5e0 and 1.5, and a NaN grad_norm as nan and NaN
+    cfg, ds = spiral_case(2, 2, S=3)
+    path, _ = roundtrip(run_clocked(cfg, ds), tmp_path)
+    lines = path.read_text().splitlines()
+    for i in (5, 6, 7, 8):  # the four rows of update 0
+        row = lines[i].split(",")
+        row[2] = f"{float(row[2]):.17e}" if i == 6 else row[2]
+        row[3] = "NaN" if i == 6 else "nan"
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    back = read_csv(path)
+    assert math.isnan(back.updates[0].grad_norm)
+    assert back.updates[0].loss == float(lines[5].split(",")[2])
+
+
 def test_observed_staleness_matches_prediction(spiral_case):
     cfg, ds = spiral_case(3, 4, S=8)
     trace = run_clocked(cfg, ds)
