@@ -11,6 +11,9 @@ but still count toward the group), then ga_update applies
     theta = theta - lr * v
 
 returning fresh parameter arrays so older versions are never mutated.
+The sums live from the group's first real gradient to its update,
+which divides them in place into the average: at momentum 0 an update
+allocates only the new version.
 The velocity v is private to its module and never recorded, so it is
 stepped in place.  At momentum 0, v = g' is not kept and the velocity
 returned is None.
@@ -52,14 +55,27 @@ class Slot:
 
 
 class Accumulator:
-    """Sums up to `capacity` gradient slots for one module."""
+    """Sums up to `capacity` gradient slots for one module.  The sums
+    live from the group's first real gradient until average() hands them
+    over or reset() drops them.  param_shapes, the per-layer sizes, is
+    kept as given, so accumulators may share one list."""
+
+    __slots__ = ("capacity", "_sizes", "_sums", "slots")
 
     def __init__(self, param_shapes, capacity: int):
         if capacity < 1:
             raise DomainError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.grad_sums = [np.zeros(int(n)) for n in param_shapes]
+        self._sizes = param_shapes
+        self._sums = None  # per-layer arrays while a real gradient is held
         self.slots = []
+
+    @property
+    def grad_sums(self):
+        """The running sums; zeros while no real gradient is held."""
+        if self._sums is None:
+            return [np.zeros(n) for n in self._sizes]
+        return self._sums
 
     @property
     def count(self) -> int:
@@ -77,11 +93,16 @@ class Accumulator:
         self.slots.append(Slot(j, batch_index, version))
 
     def add(self, grads, batch_index: int, version: int):
-        """Accumulate a real gradient (list of flat per-layer arrays)."""
-        if len(grads) != len(self.grad_sums):
+        """Accumulate a real gradient (list of flat per-layer arrays).
+        The first starts fresh sums, 0.0 + g, the bits of zeros + g; an
+        empty vector has no bits and is kept as it is."""
+        if len(grads) != len(self._sizes):
             raise ProtocolError("gradient layout does not match accumulator")
         self._bump(batch_index, version)
-        for acc, g in zip(self.grad_sums, grads):
+        if self._sums is None:
+            self._sums = [0.0 + g if g.size else g for g in grads]
+            return
+        for acc, g in zip(self._sums, grads):
             if acc.size:
                 acc += g
 
@@ -90,10 +111,19 @@ class Accumulator:
         still advances the group toward the update."""
         self._bump(batch_index, None)
 
+    def average(self):
+        """Hand over the sums divided in place by capacity, the bits of
+        sum / capacity; the accumulator then holds no array."""
+        if self._sums is None:
+            return self.grad_sums
+        sums, self._sums = self._sums, None
+        for gs in sums:
+            if gs.size:
+                gs /= self.capacity
+        return sums
+
     def reset(self):
-        for acc in self.grad_sums:
-            if acc.size:
-                acc.fill(0.0)
+        self._sums = None
         self.slots = []
 
 
@@ -103,17 +133,19 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
 
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
-    Returns (new_params, velocity, avg_grads).  params and acc are
-    untouched, and the empty vectors of parameterless layers pass through
-    as they are.  The velocity, zeros when None is passed, is stepped in
-    place; at momentum 0 none is read and None is returned.
+    Returns (new_params, velocity, avg_grads).  The accumulator's sums
+    become avg_grads, divided in place, so a second call on the same
+    group without acc.reset() steps with zeros.  params are untouched,
+    and the empty vectors of parameterless layers pass through as they
+    are.  The velocity, zeros when None is passed, is stepped in place;
+    at momentum 0 none is read and None is returned.
     """
     if not acc.full:
         raise ProtocolError(
             f"update fired with {acc.count}/{acc.capacity} slots accumulated")
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
-    avg = [gs / acc.capacity if gs.size else gs for gs in acc.grad_sums]
+    avg = acc.average()
     momentum = sgd.momentum != 0.0
     if momentum and velocity is None:
         velocity = [np.zeros_like(p) for p in params]

@@ -65,6 +65,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
               init_states(cfg.layers, cfg.seed, cfg.init_scale)]
     bounds = cfg.partition.bounds
     slices = {k: slice(bounds[k - 1], bounds[k]) for k in range(1, K + 1)}
+    sizes = {k: [p.size for p in params[sl]] for k, sl in slices.items()}
     velocities = dict.fromkeys(slices)
     accs = {k: {} for k in slices}  # update index -> open Accumulator
 
@@ -72,8 +73,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         """Module k's accumulator for update u, opened with its fill slots."""
         acc = accs[k].get(u)
         if acc is None:
-            acc = accs[k][u] = Accumulator(
-                [p.size for p in params[slices[k]]], M)
+            acc = accs[k][u] = Accumulator(sizes[k], M)
             first = M * u - 2 * (K - k)
             for t in range(first, min(first + M, 0)):
                 acc.add_skipped(t)
@@ -85,10 +85,12 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
         grads, _ = net_backward(cfg.layers, params, ctx, False)
+        del x, y, ctx  # the pass's arrays die before any sums start
         for k, sl in slices.items():
             u = (t + 2 * (K - k)) // M
             if u < S:
                 acc_for(k, u).add(grads[sl], t, t // M)
+            grads[sl] = [None] * (sl.stop - sl.start)  # released once added
         return loss
 
     def close(k, s, losses=()):

@@ -9,12 +9,14 @@ is the global clock tick at which the top module fired that update,
 loss is the training loss observed at the top module's forward of the
 group-closing batch M*(s+1)-1, and grad_norm is the whole-network norm
 of the averaged accumulated gradient.  d_kj = s - version_used is
-derived and not read back.  Skipped fill slots leave version_used and
-d_kj empty.  Floats are written in shortest exact round-trip decimal
-form, so parsing the file back reproduces the same float64 bits.
-read_csv rejects a body that disagrees with the K, M and updates header,
-rows of one update that disagree on tick, loss or grad_norm (two NaNs
-agree), and a module whose rows do not carry j = 0..M-1 in order.
+derived, and read back only to be checked.  Skipped fill slots leave
+version_used and d_kj empty.  Floats are written in shortest exact
+round-trip decimal form, so parsing the file back reproduces the same
+float64 bits.  read_csv rejects a body that disagrees with the K, M and
+updates header, rows of one update that disagree on tick, loss or
+grad_norm (two NaNs agree), a module whose rows do not carry
+j = 0..M-1 in order, and a d_kj other than s - version_used (empty
+exactly when version_used is).
 """
 from __future__ import annotations
 
@@ -133,12 +135,19 @@ def read_csv(path) -> RunTrace:
                 and not _gap(float(parts[2]), current.loss)
                 and not _gap(float(parts[3]), current.grad_norm))
             k, j, batch = int(parts[4]), int(parts[5]), int(parts[6])
-            version = int(parts[7]) if parts[7] != "" else None
+            if parts[7] == "":  # a fill slot: d_kj is empty too
+                version, d_ok = None, parts[8] == ""
+            else:
+                version = int(parts[7])
+                d_ok = int(parts[8]) == s - version
         except ValueError:
             raise ComparisonError(f"{path}: bad row {line!r}") from None
         if not agrees:
             raise ComparisonError(f"{path}: row {line!r} disagrees with "
                                   f"the first row of update {s}")
+        if not d_ok:
+            raise ComparisonError(f"{path}: row {line!r} has a d_kj other "
+                                  f"than s - version_used")
         slots = current.slots.setdefault(k, [])
         if j != len(slots):
             raise ComparisonError(

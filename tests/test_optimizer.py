@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def test_skipped_slot_contributes_zero():
     np.testing.assert_array_equal(acc.grad_sums[0], [0.4])
     assert acc.slots[0].skipped and not acc.slots[1].skipped
     assert acc.slots[0].batch_index == -2
+
+
+def test_a_first_gradient_is_added_to_zeros():
+    # the sums start as 0.0 + g, the bits of zeros + g: -0.0 becomes +0.0
+    acc = acc_of(-0.0)
+    assert not np.signbit(acc.grad_sums[0][0])
 
 
 def test_overflow_is_protocol_violation():
@@ -158,6 +165,38 @@ def test_momentum_costs_the_velocity_and_no_more():
 
     velocity = 8 * sum(s.param_count for s in specs)
     assert peak(0.9) - peak(0.0) <= 1.05 * velocity
+
+
+def test_an_update_at_momentum_0_allocates_only_the_new_version():
+    # the sums are divided in place into the average, so one 256x256
+    # affine layer's update allocates the new version's bytes and no
+    # averaged-gradient array beside them
+    n = net.affine(256, 256).param_count
+    rng = np.random.default_rng(0)
+    acc = Accumulator([n], 2)
+    for t in range(2):
+        acc.add([rng.standard_normal(n)], t, 0)
+    theta = [rng.standard_normal(n)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ga_update(theta, acc, 0.1, SgdConfig())
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grown <= 1.05 * 8 * n
+
+
+def test_the_sums_die_with_the_average_they_become():
+    # a full group's sums are the update's average: once the accumulator
+    # is reset and the average dropped, nothing holds them
+    acc = acc_of(0.2, 0.4)
+    sums = weakref.ref(acc.grad_sums[0])
+    _, _, avg = ga_update([np.array([1.0])], acc, 0.1, SgdConfig())
+    acc.reset()
+    del avg
+    assert sums() is None
 
 
 def test_grad_norm_helpers():

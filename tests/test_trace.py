@@ -95,20 +95,24 @@ def test_read_csv_rejects_garbage(tmp_path):
         read_csv(p2)
 
 
-@pytest.mark.parametrize("column,edit", [
-    (1, lambda v: str(int(v) + 1)),
-    (2, lambda v: repr(float(v) + 1.0)),
-    (3, lambda v: repr(float(v) * 2.0)),
-    (5, lambda v: "0")],  # module 1 repeats j=0
-    ids=["tick", "loss", "grad_norm", "j"])
+# rows 5-8 are update 0: module 1's two fill slots (j = 0, 1), then
+# module 2's two real slots
+@pytest.mark.parametrize("i,column,edit", [
+    (6, 1, lambda v: str(int(v) + 1)),
+    (6, 2, lambda v: repr(float(v) + 1.0)),
+    (6, 3, lambda v: repr(float(v) * 2.0)),
+    (6, 5, lambda v: "0"),  # module 1 repeats j=0
+    (8, 8, lambda v: "99"),  # a real slot's d_kj is not s - version_used
+    (6, 8, lambda v: "5")],  # a fill slot has a d_kj
+    ids=["tick", "loss", "grad_norm", "j", "d_kj", "fill_d_kj"])
 def test_read_csv_rejects_rows_of_one_update_that_disagree(
-        tmp_path, spiral_case, column, edit):
+        tmp_path, spiral_case, i, column, edit):
     cfg, ds = spiral_case(2, 2, S=3)
     path, _ = roundtrip(run_clocked(cfg, ds), tmp_path)
     lines = path.read_text().splitlines()
-    row = lines[6].split(",")  # update 0, module 1, j=1
+    row = lines[i].split(",")
     row[column] = edit(row[column])
-    lines[6] = ",".join(row)
+    lines[i] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ComparisonError, match="trace.csv: row '0,"):
         read_csv(path)
