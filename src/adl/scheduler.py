@@ -35,19 +35,22 @@ _assemble builds every runner's trace, the oracles' too, from the config
 and the K module records of each update, and judges divergence from the
 records alone: divergence_reason names the first update that offends and
 the trace ends there, so every runner names the same reason and S.  Each
-runner sets wall_time.  Tick events come from the clock: _tick_events
-derives them from (K, M, S) over _clock, the slot order of run_clocked.
+runner sets wall_time.  Tick events come from the clock: a trace keeps
+TickEvents, a read-only view that derives them from (K, M, M*S) over
+_clock, the slot order of run_clocked, each time it is read.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import queue
 import threading
 import time
 from collections import deque, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -362,18 +365,52 @@ def _clock(K: int, MS: int):
             yield tick, k, tick - (k - 1)
 
 
-def _tick_events(cfg: TrainConfig, last):
-    """Each slot's TickEvents through tick last: forward u, backward
-    u - 2*(K-k) if >= 0, and the update to u // M + 1 if u closes a group."""
-    K, M = cfg.K, cfg.ga_steps
-    for tick, k, u in _clock(K, cfg.total_batches):
-        if tick > last:
-            return
-        yield TickEvent(tick, k, "forward", u)
-        if u >= 2 * (K - k):
-            yield TickEvent(tick, k, "backward", u - 2 * (K - k))
-        if u % M == M - 1:
-            yield TickEvent(tick, k, "update", u // M + 1)
+class TickEvents(Sequence):
+    """The TickEvents of a K-module pipeline of MS batches at M through
+    tick last: a read-only sequence that holds no event and derives them
+    from the clock on each read.  Each slot has forward u, backward
+    u - 2*(K-k) if >= 0, and the update to u // M + 1 if u closes a
+    group.  It equals any sequence of the same events, tuples too."""
+
+    __hash__ = None
+
+    def __init__(self, K: int, M: int, MS: int, last=math.inf):
+        self.K, self.M, self.MS, self.last = K, M, MS, last
+
+    def __iter__(self):
+        K, M, last = self.K, self.M, self.last
+        for tick, k, u in _clock(K, self.MS):
+            if tick > last:
+                return
+            yield TickEvent(tick, k, "forward", u)
+            if u >= 2 * (K - k):
+                yield TickEvent(tick, k, "backward", u - 2 * (K - k))
+            if u % M == M - 1:
+                yield TickEvent(tick, k, "update", u // M + 1)
+
+    def __len__(self):
+        """Module k runs n slots u <= last - (k-1): n forwards, the
+        backwards of u >= 2*(K-k) and n // M updates."""
+        K, total = self.K, 0
+        for k in range(1, K + 1):
+            n = max(0, min(self.MS, self.last - k + 2))
+            total += n + max(0, n - 2 * (K - k)) + n // self.M
+        return total
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # IndexError, negatives, slices
+        if not isinstance(index, slice):
+            return next(itertools.islice(self, picked, None))
+        up = picked if picked.step > 0 else picked[::-1]
+        got = list(itertools.islice(self, up.start, up.stop, up.step)) \
+            if up else []
+        return got if up is picked else got[::-1]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
 
 
 def _edges(K: int, make) -> dict:
@@ -391,14 +428,25 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
                 f"edge {a}->{b} ended with {len(edge)} unread messages")
     for w in workers:
         w.check_drained()
-    trace = _assemble(cfg, mode, zip(*(w.update_records for w in workers)))
+    records = [w.update_records for w in workers]
+
+    def groups():
+        """Each update's K records, dropped once _assemble has built the
+        update's UpdateRecord from them."""
+        for s in range(cfg.updates):
+            yield [r[s] for r in records]
+            for r in records:
+                r[s] = None
+
+    trace = _assemble(cfg, mode, groups())
     trace.wall_time = wall
     if not trace.diverged:
         trace.final_params = np.concatenate([p for w in workers
                                              for p in w.params])
     if cfg.trace_ticks:
         last = trace.updates[-1].tick if trace.diverged else math.inf
-        trace.events = list(_tick_events(cfg, last))
+        trace.events = TickEvents(cfg.K, cfg.ga_steps, cfg.total_batches,
+                                  last)
     return trace
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ CSV_COLUMNS = ("s", "tick", "loss", "grad_norm", "module", "j",
                "batch_index", "version_used", "d_kj")
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateRecord:
     s: int
     tick: int
@@ -61,7 +62,9 @@ class RunTrace:
     # optional per-version whole-network parameter / gradient history
     params: list = None  # params[v] = flat vector at version v (v = 0..S)
     grads: list = None   # grads[s] = flat averaged gradient of update s+1
-    events: list = None  # TickEvent list when tick-level tracing is on
+    # with tick-level tracing on, the TickEvents: a read-only sequence
+    # derived from the pipeline clock, holding no event
+    events: Sequence = None
     final_params: np.ndarray = None  # flat version S; None if diverged
 
     @property
@@ -169,8 +172,9 @@ def read_csv(path) -> RunTrace:
 def write_events_csv(trace: RunTrace, path):
     with open(path, "w") as fh:
         fh.write("tick,module,event,index\n")
-        for ev in trace.events or []:
-            fh.write(f"{ev.tick},{ev.module},{ev.kind},{ev.index}\n")
+        if trace.events is not None:  # streamed: no list of events
+            for tick, k, kind, index in trace.events:
+                fh.write(f"{tick},{k},{kind},{index}\n")
 
 
 def observed_averaged_los(trace: RunTrace, k: int):

@@ -6,6 +6,7 @@ import pytest
 from adl.cli import build_run, main
 from adl.staleness import averaged_los_sum, theorem2_rhs
 from adl.trace import CSV_COLUMNS
+from test_scheduler import schedule_events
 
 BASE = {
     "model": {"layers": "affine:2:8 tanh:8 affine:8:2",
@@ -189,6 +190,23 @@ def test_divergence_exit_3_with_partial_trace(tmp_path, capsys):
     events = (tmp_path / "out" / "events.csv").read_text().splitlines()
     # the events end at the tick of the last update the trace keeps
     assert events[-1].split(",")[0] == trace[-1].split(",")[1]
+
+
+def test_diverging_tick_run_writes_the_schedule_events(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        model={"layers": "affine:2:4 tanh:4 affine:4:1", "loss": "mse"},
+        data={"dataset": "linreg", "dim": "2"},
+        optimizer={"lr": "1e6", "updates": "50"},
+        run={"trace_level": "ticks"})
+    assert main(["run", str(cfg)]) == 3
+    last = int((tmp_path / "out" / "trace.csv").read_text()
+               .splitlines()[-1].split(",")[1])
+    rows = (tmp_path / "out" / "events.csv").read_text().splitlines()[1:]
+    events = [(int(tick), int(k), kind, int(index))
+              for tick, k, kind, index in (row.split(",") for row in rows)]
+    assert events == schedule_events(2, 2, 50, last)
+    assert last < schedule_events(2, 2, 50)[-1][0]  # the run did diverge
 
 
 def test_k1_sync_and_pipeline_traces_byte_identical(tmp_path):

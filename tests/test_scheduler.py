@@ -1,10 +1,12 @@
 """Pipeline schedule, provenance, and the clocked runner."""
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -325,10 +327,13 @@ def schedule_events(K, M, S, last=math.inf):
 
 # M = 3 does not divide 2*(K-k) at K = 3 or 5; at K = 5, M = 1 the 3
 # batches end before module 1's first backward; the last case diverges
-@pytest.mark.parametrize("K,M,S,lr", [
+TICK_GRID = [
     *((K, M, 3, 0.05) for K, M in itertools.product((1, 2, 3, 5),
                                                     (1, 2, 3, 4))),
-    (3, 2, 60, 2000.0)])
+    (3, 2, 60, 2000.0)]
+
+
+@pytest.mark.parametrize("K,M,S,lr", TICK_GRID)
 def test_tick_events_follow_the_schedule(K, M, S, lr, spiral_case):
     cfg, ds = spiral_case(K, M, S=S, lr=lr, trace_ticks=True)
     clocked = run_clocked(cfg, ds)
@@ -339,6 +344,44 @@ def test_tick_events_follow_the_schedule(K, M, S, lr, spiral_case):
     assert run_parallel(cfg, ds).events == expected
     if clocked.diverged:  # module K's update of the last kept version
         assert expected[-1] == (last, K, "update", clocked.S)
+
+
+@pytest.mark.parametrize("K,M,S,lr", TICK_GRID)
+def test_tick_events_count_and_index_like_the_list(K, M, S, lr, spiral_case):
+    cfg, ds = spiral_case(K, M, S=S, lr=lr, trace_ticks=True)
+    trace = run_clocked(cfg, ds)
+    last = trace.updates[-1].tick if trace.diverged else math.inf
+    expected = schedule_events(K, M, S, last)
+    events = trace.events
+    assert len(events) == sum(1 for _ in events) == len(expected)
+    assert events[0] == expected[0] and events[-1] == expected[-1]
+    assert events[2:5] == expected[2:5]
+    assert events[::-3] == expected[::-3]
+    with pytest.raises(IndexError):
+        events[len(expected)]
+
+
+def test_a_tick_trace_holds_no_event(spiral_case):
+    # the events are derived from the clock when read, so tick tracing
+    # retains next to nothing over the same run without it, at any S
+    def retained(S, ticks):
+        cfg, ds = spiral_case(3, 2, S=S, trace_ticks=ticks)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_clocked(cfg, ds)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.S == S
+        return kept
+
+    for ticks in (False, True):  # warm every cache the runner fills once
+        retained(2, ticks)
+    for S in (16, 1024):
+        assert retained(S, True) - retained(S, False) < 2048, S
 
 
 def test_bootstrap_updates_are_zero_steps(spiral_case):
