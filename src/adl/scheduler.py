@@ -36,21 +36,19 @@ and the K module records of each update, and judges divergence from the
 records alone: divergence_reason names the first update that offends and
 the trace ends there, so every runner names the same reason and S.  Each
 runner sets wall_time.  Tick events come from the clock: a trace keeps
-TickEvents, a read-only view that derives them from (K, M, M*S) over
-_clock, the slot order of run_clocked, each time it is read.
+TickEvents, an iterable derived from the clock each time it is read,
+from (K, M, M*S) over _clock, the slot order of run_clocked.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import queue
 import threading
 import time
 from collections import deque, namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,7 +234,7 @@ class ModuleWorker:
         del inters  # the backward's arrays are dead before the update
         if u % self.M == self.M - 1:
             cfg = self.cfg
-            slots = self.acc.slots  # reset() starts a new list
+            slots = list(self.acc.slots)  # exact size: the trace keeps it
             self.params, self.velocity, avg = ga_update(
                 self.params, self.acc, lr_at(cfg.schedule, self.version),
                 cfg.sgd, self.velocity)
@@ -365,17 +363,18 @@ def _clock(K: int, MS: int):
             yield tick, k, tick - (k - 1)
 
 
-class TickEvents(Sequence):
+@dataclass(frozen=True)
+class TickEvents:
     """The TickEvents of a K-module pipeline of MS batches at M through
-    tick last: a read-only sequence that holds no event and derives them
-    from the clock on each read.  Each slot has forward u, backward
-    u - 2*(K-k) if >= 0, and the update to u // M + 1 if u closes a
-    group.  It equals any sequence of the same events, tuples too."""
+    tick last, derived from the clock each time they are read: each slot
+    has forward u, backward u - 2*(K-k) if >= 0, and the update to
+    u // M + 1 if u closes a group.  The events are a function of the
+    fields, so equal views have equal events."""
 
-    __hash__ = None
-
-    def __init__(self, K: int, M: int, MS: int, last=math.inf):
-        self.K, self.M, self.MS, self.last = K, M, MS, last
+    K: int
+    M: int
+    MS: int
+    last: float
 
     def __iter__(self):
         K, M, last = self.K, self.M, self.last
@@ -387,30 +386,6 @@ class TickEvents(Sequence):
                 yield TickEvent(tick, k, "backward", u - 2 * (K - k))
             if u % M == M - 1:
                 yield TickEvent(tick, k, "update", u // M + 1)
-
-    def __len__(self):
-        """Module k runs n slots u <= last - (k-1): n forwards, the
-        backwards of u >= 2*(K-k) and n // M updates."""
-        K, total = self.K, 0
-        for k in range(1, K + 1):
-            n = max(0, min(self.MS, self.last - k + 2))
-            total += n + max(0, n - 2 * (K - k)) + n // self.M
-        return total
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]  # IndexError, negatives, slices
-        if not isinstance(index, slice):
-            return next(itertools.islice(self, picked, None))
-        up = picked if picked.step > 0 else picked[::-1]
-        got = list(itertools.islice(self, up.start, up.stop, up.step)) \
-            if up else []
-        return got if up is picked else got[::-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
 
 
 def _edges(K: int, make) -> dict:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,9 +61,9 @@ class RunTrace:
     # optional per-version whole-network parameter / gradient history
     params: list = None  # params[v] = flat vector at version v (v = 0..S)
     grads: list = None   # grads[s] = flat averaged gradient of update s+1
-    # with tick-level tracing on, the TickEvents: a read-only sequence
-    # derived from the pipeline clock, holding no event
-    events: Sequence = None
+    # with tick-level tracing on, the TickEvents: an iterable derived from
+    # the pipeline clock each time it is read, holding no event
+    events: object = None
     final_params: np.ndarray = None  # flat version S; None if diverged
 
     @property
