@@ -11,9 +11,10 @@ but still count toward the group), then ga_update applies
     theta = theta - lr * v
 
 returning fresh parameter arrays so older versions are never mutated.
-The sums live from the group's first real gradient to its update,
-which divides them in place into the average: at momentum 0 an update
-allocates only the new version.
+An Accumulator is one update group of one module: it is opened for the
+group and dropped at its update.  Its sums live from the group's first
+real gradient to the update, which divides them in place into the
+average: at momentum 0 an update allocates only the new version.
 The velocity v is private to its module and never recorded, so it is
 stepped in place.  At momentum 0, v = g' is not kept and the velocity
 returned is None.
@@ -55,9 +56,9 @@ class Slot:
 
 
 class Accumulator:
-    """Sums up to `capacity` gradient slots for one module.  The sums
-    live from the group's first real gradient until average() hands them
-    over or reset() drops them.  param_shapes, the per-layer sizes, is
+    """One update group of one module, from its first slot to average():
+    up to `capacity` gradient slots and, from the first real gradient
+    on, their per-layer sums.  param_shapes, the per-layer sizes, is
     kept as given, so accumulators may share one list."""
 
     __slots__ = ("capacity", "_sizes", "_sums", "slots")
@@ -69,21 +70,6 @@ class Accumulator:
         self._sizes = param_shapes
         self._sums = None  # per-layer arrays while a real gradient is held
         self.slots = []
-
-    @property
-    def grad_sums(self):
-        """The running sums; zeros while no real gradient is held."""
-        if self._sums is None:
-            return [np.zeros(n) for n in self._sizes]
-        return self._sums
-
-    @property
-    def count(self) -> int:
-        return len(self.slots)
-
-    @property
-    def full(self) -> bool:
-        return self.count == self.capacity
 
     def _bump(self, batch_index: int, version):
         j = len(self.slots)
@@ -112,19 +98,19 @@ class Accumulator:
         self._bump(batch_index, None)
 
     def average(self):
-        """Hand over the sums divided in place by capacity, the bits of
-        sum / capacity; the accumulator then holds no array."""
-        if self._sums is None:
-            return self.grad_sums
+        """Hand over the full group's sums divided in place by capacity,
+        the bits of sum / capacity, or fresh zeros if it holds only fill
+        slots; the accumulator then holds no array."""
+        if len(self.slots) != self.capacity:
+            raise ProtocolError(f"update fired with {len(self.slots)}/"
+                                f"{self.capacity} slots accumulated")
         sums, self._sums = self._sums, None
+        if sums is None:
+            return [np.zeros(n) for n in self._sizes]
         for gs in sums:
             if gs.size:
                 gs /= self.capacity
         return sums
-
-    def reset(self):
-        self._sums = None
-        self.slots = []
 
 
 def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
@@ -134,18 +120,14 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
     Returns (new_params, velocity, avg_grads).  The accumulator's sums
-    become avg_grads, divided in place, so a second call on the same
-    group without acc.reset() steps with zeros.  params are untouched,
-    and the empty vectors of parameterless layers pass through as they
-    are.  The velocity, zeros when None is passed, is stepped in place;
-    at momentum 0 none is read and None is returned.
+    become avg_grads, divided in place.  params are untouched, and the
+    empty vectors of parameterless layers pass through as they are.
+    The velocity, zeros when None is passed, is stepped in place; at
+    momentum 0 none is read and None is returned.
     """
-    if not acc.full:
-        raise ProtocolError(
-            f"update fired with {acc.count}/{acc.capacity} slots accumulated")
+    avg = acc.average()
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
-    avg = acc.average()
     momentum = sgd.momentum != 0.0
     if momentum and velocity is None:
         velocity = [np.zeros_like(p) for p in params]
@@ -222,6 +204,9 @@ class StepDecay:
         check_finite_nonneg("base learning rate", self.base)
         check_finite_nonneg("warm-up updates", self.warmup_updates)
         check_finite_nonneg("decay factor", self.factor)
+        if not (self.ga_steps >= 1 and self.batches_per_epoch >= 1):
+            raise DomainError(f"ga_steps and batches_per_epoch must be >= 1, "
+                              f"got {self.ga_steps}, {self.batches_per_epoch}")
         for m in self.milestones_epochs:
             check_finite_nonneg("milestone", m)
         if list(self.milestones_epochs) != sorted(self.milestones_epochs):

@@ -182,7 +182,8 @@ class ModuleWorker:
         self.velocity = None
         self.version = 0
         self.stash = deque()  # FIFO of (batch, intermediates, version, params)
-        self.acc = Accumulator([p.size for p in self.params], cfg.ga_steps)
+        self._sizes = [p.size for p in self.params]
+        self.acc = Accumulator(self._sizes, self.M)  # the open group
         self.update_records = []
         self._losses = []  # module K: the open group's batch losses
 
@@ -238,7 +239,7 @@ class ModuleWorker:
             self.params, self.velocity, avg = ga_update(
                 self.params, self.acc, lr_at(cfg.schedule, self.version),
                 cfg.sgd, self.velocity)
-            self.acc.reset()
+            self.acc = Accumulator(self._sizes, self.M)
             # _losses is empty outside module K, and tuple() of it is ()
             self.update_records.append(WorkerUpdate(
                 grads_sumsq(avg), slots,
@@ -252,7 +253,7 @@ class ModuleWorker:
         if self.stash:
             raise ProtocolError(
                 f"module {self.k} ended with {len(self.stash)} stashed contexts")
-        if self.acc.count != 0:
+        if self.acc.slots:
             raise ProtocolError(
                 f"module {self.k} ended with an open accumulator")
         if self.version != self.cfg.updates:
@@ -332,9 +333,10 @@ def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
 
     feed_slot alone reads, index-checks, builds and sends the (batch,
     payload, target) messages, through get() and put() on
-    edges[(sender, receiver)] between adjacent modules.  Module 1 samples batch u once, and its target rides up to
-    module K on the activations.  The input gradient of batch t_b goes
-    down if module k-1 backpropagates t_b before its last slot."""
+    edges[(sender, receiver)] between adjacent modules.  Module 1
+    samples batch u once, and its target rides up to module K on the
+    activations.  The input gradient of batch t_b goes down if module
+    k-1 backpropagates t_b before its last slot."""
     k, t_b, last = w.k, u - w.two_delta, w.is_last
     if k == 1:
         x, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
@@ -540,6 +542,9 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     other threads see the reduced count while the run lasts.  A numpy
     without bundled scipy-openblas is left alone.
     """
+    if not 0.0 < deadlock_timeout < math.inf:  # NaN would never time out
+        raise ConfigError(f"deadlock_timeout must be > 0 and finite, got "
+                          f"{deadlock_timeout}")
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     stop = threading.Event()

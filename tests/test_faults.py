@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from adl import scheduler
-from adl.errors import ProtocolError
+from adl.errors import ConfigError, ProtocolError
 
 
 def blas_threads():
@@ -174,6 +174,19 @@ def test_accumulator_rejects_a_gradient_of_another_layout(spiral_case):
     with pytest.raises(ProtocolError, match="gradient layout does not "
                                             "match accumulator"):
         w.acc.add(w.params[:1], 0, 0)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0, float("inf")])
+def test_parallel_rejects_a_deadlock_timeout_before_any_thread(
+        timeout, spiral_case, monkeypatch):
+    # a NaN timeout never trips, so a lost message would hang the run
+    cfg, ds = spiral_case(3, 2, S=6)
+    started = []
+    monkeypatch.setattr(scheduler.threading.Thread, "start",
+                        lambda t: started.append(t))
+    with pytest.raises(ConfigError, match="deadlock_timeout must be > 0"):
+        scheduler.run_parallel(cfg, ds, deadlock_timeout=timeout)
+    assert started == []
 
 
 def test_parallel_reraises_a_worker_error_and_joins_every_thread(

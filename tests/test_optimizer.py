@@ -27,23 +27,23 @@ def acc_of(*grads, capacity=None, sizes=(1,)):
 
 def test_accumulate_two_scalars():
     acc = acc_of(0.2, 0.4)
-    np.testing.assert_allclose(acc.grad_sums[0], [0.6])
-    assert acc.count == 2 and acc.full
+    assert len(acc.slots) == 2
+    np.testing.assert_allclose(acc.average()[0], [0.3])
 
 
 def test_skipped_slot_contributes_zero():
     acc = Accumulator([1], 2)
     acc.add_skipped(-2)
     acc.add([np.array([0.4])], 0, 0)
-    np.testing.assert_array_equal(acc.grad_sums[0], [0.4])
     assert acc.slots[0].skipped and not acc.slots[1].skipped
     assert acc.slots[0].batch_index == -2
+    np.testing.assert_array_equal(acc.average()[0], [0.2])  # 0.4 / 2
 
 
 def test_a_first_gradient_is_added_to_zeros():
     # the sums start as 0.0 + g, the bits of zeros + g: -0.0 becomes +0.0
     acc = acc_of(-0.0)
-    assert not np.signbit(acc.grad_sums[0][0])
+    assert not np.signbit(acc.average()[0][0])
 
 
 def test_overflow_is_protocol_violation():
@@ -52,7 +52,7 @@ def test_overflow_is_protocol_violation():
         acc.add([np.array([1.0])], 5, 0)
     with pytest.raises(ProtocolError, match="overflow"):
         acc.add_skipped(-1)
-    assert acc.count == 1
+    assert len(acc.slots) == 1
 
 
 def test_slot_is_a_replaceable_dataclass():
@@ -65,8 +65,11 @@ def test_slot_is_a_replaceable_dataclass():
 def test_update_requires_full_group():
     acc = Accumulator([1], 3)
     acc.add([np.array([1.0])], 0, 0)
-    with pytest.raises(ProtocolError):
-        ga_update([np.array([0.0])], acc, 0.1, SgdConfig())
+    # the group is checked before the rate, so a NaN rate does not mask it
+    for lr in (0.1, float("nan")):
+        with pytest.raises(ProtocolError, match="update fired with 1/3 "
+                                                "slots accumulated"):
+            ga_update([np.array([0.0])], acc, lr, SgdConfig())
 
 
 def test_ga_update_rejects_nan_rate():
@@ -138,10 +141,12 @@ def test_update_returns_fresh_arrays():
     acc = acc_of(1.0)
     theta = [np.array([1.0])]
     params, vel, avg = ga_update(theta, acc, 0.1, SgdConfig(momentum=0.5))
-    for fresh, ref in ((params, theta), (avg, acc.grad_sums)):
-        assert fresh[0] is not ref[0]
-    acc.reset()
-    np.testing.assert_array_equal(avg[0], [1.0])  # unaffected by reset
+    assert params[0] is not theta[0] and vel[0] is not avg[0]
+    # the accumulator kept no array: averaging the group again gives zeros
+    # and leaves the average it handed over as it was
+    again = acc.average()
+    assert again[0] is not avg[0] and again[0][0] == 0.0
+    np.testing.assert_array_equal(avg[0], [1.0])
 
 
 def test_momentum_costs_the_velocity_and_no_more():
@@ -189,12 +194,11 @@ def test_an_update_at_momentum_0_allocates_only_the_new_version():
 
 
 def test_the_sums_die_with_the_average_they_become():
-    # a full group's sums are the update's average: once the accumulator
-    # is reset and the average dropped, nothing holds them
+    # a full group's sums are the update's average: once the average is
+    # dropped nothing holds them, though the accumulator lives on
     acc = acc_of(0.2, 0.4)
-    sums = weakref.ref(acc.grad_sums[0])
     _, _, avg = ga_update([np.array([1.0])], acc, 0.1, SgdConfig())
-    acc.reset()
+    sums = weakref.ref(avg[0])
     del avg
     assert sums() is None
 
@@ -209,16 +213,19 @@ def test_grad_norm_helpers():
 
 def test_parameterless_module_update_writes_nothing():
     # a module of two parameterless layers: every vector is empty
-    acc = Accumulator([0, 0], 2)
-    acc.add_skipped(-1)
-    acc.add([np.zeros(0), np.zeros(0)], 0, 0)
+    def group():
+        acc = Accumulator([0, 0], 2)
+        acc.add_skipped(-1)
+        acc.add([np.zeros(0), np.zeros(0)], 0, 0)
+        return acc
+
     theta = [np.zeros(0), np.zeros(0)]
     sgd = SgdConfig(momentum=0.9, weight_decay=0.1)
-    params, vel, avg = ga_update(theta, acc, 0.5, sgd)
-    params2, vel2, _ = ga_update(params, acc, 0.5, sgd, vel)
+    params, vel, avg = ga_update(theta, group(), 0.5, sgd)
+    params2, vel2, avg2 = ga_update(params, group(), 0.5, sgd, vel)
     assert all(p is t for p, t in zip(params + params2, theta + theta))
     assert all(v is w for v, w in zip(vel2, vel))
-    assert [a.size for a in vel + avg + acc.grad_sums] == [0] * 6
+    assert [a.size for a in vel + avg + avg2] == [0] * 6
 
 
 def test_sgd_config_validation():
@@ -253,6 +260,14 @@ def test_step_decay_milestones():
     assert lr_at(sched, 0) == 0.1
     assert lr_at(sched, 9) == 0.1
     assert lr_at(sched, 10) == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["ga_steps", "batches_per_epoch"])
+def test_step_decay_rejects_counts_below_one(name, value):
+    # at 0 the first lr_at divided by zero; below, no milestone ever passed
+    with pytest.raises(DomainError, match=name):
+        StepDecay(0.1, milestones_epochs=(1.0,), **{name: value})
 
 
 def test_step_decay_warmup_is_linear_then_nonincreasing():

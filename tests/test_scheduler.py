@@ -23,7 +23,7 @@ from adl.scheduler import (TrainConfig, run_clocked, run_parallel,
                            schedule_position)
 from adl.staleness import effective_version, steady_staleness
 from adl.trace import compare_traces, read_csv
-from adl import data, oracle, scheduler
+from adl import data, optimizer, oracle, scheduler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -357,6 +357,31 @@ def test_trace_slot_lists_hold_no_spare_capacity(runner, M, spiral_case):
     for rec in trace.updates:
         for slots in rec.slots.values():
             assert sys.getsizeof(slots) == sys.getsizeof(list(slots)), M
+
+
+@pytest.mark.parametrize("runner", [run_clocked, delayed_replay])
+def test_an_accumulator_dies_with_its_update(runner, spiral_case,
+                                             monkeypatch):
+    # each update group has its own accumulator: by the time any module
+    # updates, every accumulator an earlier update consumed is gone
+    cfg, ds = spiral_case(3, 2, S=6)
+    consumed = []
+
+    class Accumulator(optimizer.Accumulator):
+        __slots__ = ("__weakref__",)
+
+    def wrap(update):
+        def recorded(params, acc, *args):
+            assert all(ref() is None for ref in consumed)
+            consumed.append(weakref.ref(acc))
+            return update(params, acc, *args)
+        return recorded
+
+    for mod in (scheduler, oracle):
+        monkeypatch.setattr(mod, "Accumulator", Accumulator)
+        monkeypatch.setattr(mod, "ga_update", wrap(mod.ga_update))
+    assert runner(cfg, ds).S == 6
+    assert len(consumed) == 3 * 6
 
 
 def test_a_tick_trace_holds_no_event(spiral_case):
