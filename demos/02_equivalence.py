@@ -11,7 +11,7 @@ reproduce it bit for bit:
     the updates.  Agreement proves the scheduler delivers exactly the
     delayed gradients it advertises.
   * `run_parallel` executes the same schedule with one thread per
-    module and bounded queues.  Agreement proves the concurrency is
+    module and FIFO queues.  Agreement proves the concurrency is
     observationally pure.
   * with K=1 the pipeline has no delays at all, so it must equal plain
     synchronous gradient-accumulation SGD (`sync_ga_sgd`).

@@ -1,11 +1,12 @@
 """Throughput: one thread per module vs. the single-threaded clock.
 
 `run_parallel` executes the identical schedule as `run_clocked` but
-gives each module its own thread connected by bounded queues, so the
-K modules' numpy work can overlap.  The traces stay bit-identical
-(demos/02); only the wall time changes.  With K balanced modules and
-enough cores the ideal speedup approaches K; queue handoffs, the
-pipeline fill/drain, and Python-side overhead eat part of it.
+gives each module its own thread connected by FIFO queues, which the
+schedule itself bounds, so the K modules' numpy work can overlap.  The
+traces stay bit-identical (demos/02); only the wall time changes.  With
+K balanced modules and enough cores the ideal speedup approaches K;
+queue handoffs, the pipeline fill/drain, and Python-side overhead eat
+part of it.
 
 While it runs, `run_parallel` splits numpy's bundled OpenBLAS threads
 among the modules: its n BLAS threads become max(1, n // K), so with

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and one range check."""
+"""Exception types shared across the package, and two argument checks."""
+import numbers
 
 
 class AdlError(Exception):
@@ -31,3 +32,10 @@ def check_finite_nonneg(name: str, value, error=DomainError):
     if not 0.0 <= value < float("inf"):
         raise error(f"{name} must be >= 0 and finite, got {value}")
     return value
+
+
+def check_int(name: str, value, error=DomainError):
+    """int(value) if it is a Python or numpy integer, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -27,9 +27,10 @@ protocol: it reads, index-checks, builds and sends the messages, plain
 (batch, payload, target) tuples, on FIFO edges keyed (sender, receiver),
 and both runners feed every slot through it.  They differ only in the
 edges: run_clocked executes the tick loop in-process over deques;
-run_parallel runs one thread per module over bounded queues and produces
-a bit-identical trace (each worker performs the same float operations in
-the same order, only wall-clock interleaving differs).
+run_parallel runs one thread per module over unbounded queues, which the
+schedule itself bounds, and produces a bit-identical trace (each worker
+performs the same float operations in the same order, only wall-clock
+interleaving differs).
 
 _assemble builds every runner's trace, the oracles' too, from the config
 and the K module records of each update, and judges divergence from the
@@ -55,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import ConfigError, ProtocolError, check_finite_nonneg
+from .errors import ConfigError, ProtocolError, check_finite_nonneg, check_int
 from .net import (LOSS_KINDS, MSE, init_states, layer_backward,
                   layer_forward, loss_and_grad)
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
@@ -143,6 +144,8 @@ class TrainConfig:
             raise ConfigError("partition does not cover the layer stack")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}")
+        for key in ("ga_steps", "updates", "batch_size", "seed"):  # as ints
+            setattr(self, key, check_int(key, getattr(self, key), ConfigError))
         _check_counts(self.ga_steps, self.updates, self.batch_size)
         check_finite_nonneg("init_scale", self.init_scale, ConfigError)
         check_finite_nonneg("seed", self.seed, ConfigError)
@@ -400,9 +403,9 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
             wall: float) -> RunTrace:
     """Check that every edge and worker drained; assemble the trace."""
     for (a, b), edge in edges.items():
-        if len(edge):
+        if edge.qsize():
             raise ProtocolError(
-                f"edge {a}->{b} ended with {len(edge)} unread messages")
+                f"edge {a}->{b} ended with {edge.qsize()} unread messages")
     for w in workers:
         w.check_drained()
     records = [w.update_records for w in workers]
@@ -434,7 +437,7 @@ class _Fifo(deque):
         super().__init__()
         self.key = key
 
-    put = deque.append
+    put, qsize = deque.append, deque.__len__
 
     def get(self):
         if not self:
@@ -455,40 +458,37 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
 
 class _Stopped(Exception):
-    """An edge of run_parallel was waited on after another worker failed."""
+    """An edge of run_parallel was read after another worker failed."""
+
+
+_CLOSED = object()  # put on every edge of run_parallel once a worker fails
 
 
 class _Edge:
-    """Bounded FIFO between adjacent modules with stop-aware blocking."""
+    """Unbounded FIFO between adjacent modules of run_parallel; reading
+    _CLOSED raises _Stopped.  Puts never wait, as the schedule bounds each
+    edge: module k's slot u >= 2(K-k) first reads the gradient module k+1
+    sends at its slot u-2, which has read activation u-2, so edge k->k+1
+    holds at most max(2, 2(K-k)) activations; module k+1 sends gradient t
+    after it reads activation t+2(K-k)-2, when module k has read gradient
+    t-2, so edge k+1->k holds at most 2 gradients."""
 
-    def __init__(self, key, capacity: int, stop: threading.Event,
-                 timeout: float):
-        self.key = key
-        self.q = queue.Queue(maxsize=capacity)
-        self.stop = stop
-        self.timeout = timeout
-
-    def __len__(self):
-        return self.q.qsize()
-
-    def _wait(self, op, state: str):
-        """Retry op every 50 ms; raise _Stopped once stop is set."""
-        waited = 0.0
-        while not self.stop.is_set():
-            try:
-                return op(timeout=0.05)
-            except (queue.Full, queue.Empty):
-                waited += 0.05
-                if waited >= self.timeout:
-                    raise ProtocolError("deadlock: edge %d->%d %s too long"
-                                        % (*self.key, state))
-        raise _Stopped
+    def __init__(self, key, timeout: float):
+        self.key, self.timeout, self.q = key, timeout, queue.SimpleQueue()
+        self.qsize = self.q.qsize
 
     def put(self, item):
-        self._wait(functools.partial(self.q.put, item), "full")
+        self.q.put(item)
 
     def get(self):
-        return self._wait(self.q.get, "empty")
+        try:
+            item = self.q.get(timeout=self.timeout)
+        except queue.Empty:
+            raise ProtocolError("deadlock: edge %d->%d empty too long"
+                                % self.key) from None
+        if item is _CLOSED:
+            raise _Stopped
+        return item
 
 
 @functools.cache
@@ -527,13 +527,13 @@ def _blas_share(K: int):
 
 def run_parallel(cfg: TrainConfig, dataset: Dataset,
                  deadlock_timeout: float = 60.0) -> RunTrace:
-    """One thread per module, bounded FIFO edges, no global clock.
+    """One thread per module, unbounded FIFO edges, no global clock.
 
     Produces the same trace as run_clocked bit for bit: message order on
     every edge is fixed by batch index, and each worker executes the
     identical operation sequence.  Every worker runs all its slots, so a
     run executes all S updates and the trace ends at the first offending
-    update whatever the thread timing.  An error stops all workers.
+    update whatever the thread timing.  A failing worker closes every edge.
 
     While the workers run, numpy's bundled OpenBLAS runs max(1, n // K)
     threads instead of its n, so the K workers share the cores rather
@@ -542,15 +542,12 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     other threads see the reduced count while the run lasts.  A numpy
     without bundled scipy-openblas is left alone.
     """
-    if not 0.0 < deadlock_timeout < math.inf:  # NaN would never time out
-        raise ConfigError(f"deadlock_timeout must be > 0 and finite, got "
-                          f"{deadlock_timeout}")
+    if not 0.0 < deadlock_timeout <= threading.TIMEOUT_MAX:  # NaN too
+        raise ConfigError(f"deadlock_timeout must be > 0 and at most "
+                          f"threading.TIMEOUT_MAX, got {deadlock_timeout}")
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    stop = threading.Event()
-    capacity = max(2, 2 * cfg.K)
-    edges = _edges(cfg.K, lambda e: _Edge(e, capacity, stop,
-                                          deadlock_timeout))
+    edges = _edges(cfg.K, lambda e: _Edge(e, deadlock_timeout))
     errors = {}
 
     def drive(w: ModuleWorker):
@@ -562,7 +559,8 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
             pass
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
             errors[w.k] = exc
-            stop.set()
+            for edge in edges.values():
+                edge.q.put(_CLOSED)  # not edge.put: a faulty put may drop it
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]

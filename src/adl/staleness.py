@@ -16,17 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, check_finite_nonneg
-
-
-def _check_int(name, v):
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-        raise DomainError(f"{name} must be an integer, got {v!r}")
-    return int(v)
+from .errors import DomainError, check_finite_nonneg, check_int
 
 
 def _check_module_args(K, k, M):
-    K, k, M = _check_int("K", K), _check_int("k", k), _check_int("M", M)
+    K, k, M = check_int("K", K), check_int("k", k), check_int("M", M)
     if M < 1:
         raise DomainError(f"accumulation factor M must be >= 1, got {M}")
     if K < 1 or not 1 <= k <= K:
@@ -40,7 +34,7 @@ def steady_staleness(K: int, k: int, M: int, j: int) -> int:
     s - floor((M*s + j - 2*(K-k))/M) = ceil((2*(K-k) - j)/M) for every
     s >= 0, never negative because j < M."""
     K, k, M = _check_module_args(K, k, M)
-    j = _check_int("j", j)
+    j = check_int("j", j)
     if not 0 <= j < M:
         raise DomainError(f"slot j must lie in 0..M-1, got {j}")
     return -((j - 2 * (K - k)) // M)
@@ -49,7 +43,7 @@ def steady_staleness(K: int, k: int, M: int, j: int) -> int:
 def effective_version(s: int, j: int, K: int, k: int, M: int) -> int:
     """Parameter version actually used by the j-th gradient of update s+1
     in module k: max(0, s - staleness)."""
-    if _check_int("s", s) < 0:
+    if check_int("s", s) < 0:
         raise DomainError(f"update index s must be >= 0, got {s}")
     return max(0, int(s) - steady_staleness(K, k, M, j))
 
@@ -65,7 +59,7 @@ def averaged_los(K: int, k: int, M: int) -> Fraction:
 def averaged_los_sum(K: int, M: int) -> Fraction:
     """sum_k averaged_los(K, k, M) = K*(K-1)/M, the quantity the bounds
     depend on."""
-    if _check_int("K", K) < 1:
+    if check_int("K", K) < 1:
         raise DomainError(f"number of modules K must be >= 1, got {K}")
     K, _, M = _check_module_args(K, K, M)
     return Fraction(K * (K - 1), M)
@@ -134,7 +128,7 @@ def _theorem3_args(epsilon, gap, S, A, L, M, dbar_sum):
     """Validated (epsilon, gap, S, A, L, M, staleness factor)."""
     epsilon = _check_pos("epsilon", epsilon)
     gap = _check_pos("gap", gap)
-    S = _check_int("S", S)
+    S = check_int("S", S)
     if S < 1:
         raise DomainError(f"S must be >= 1, got {S}")
     A = _check_pos("A", A)

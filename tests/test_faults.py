@@ -1,10 +1,10 @@
 """Injected transport faults surface as ProtocolError and never hang.
 
 Each fault subclasses the edge class a runner builds (the in-process FIFO
-of run_clocked, the bounded queue of run_parallel) and drops, duplicates
+of run_clocked, the unbounded queue of run_parallel) and drops, duplicates
 or reorders one message on one edge.  A worker driven out of its schedule
 raises ProtocolError itself, and an error raised inside a worker thread
-reaches the caller of run_parallel.
+closes every edge of run_parallel and reaches its caller.
 """
 import threading
 import time
@@ -14,6 +14,7 @@ import pytest
 
 from adl import scheduler
 from adl.errors import ConfigError, ProtocolError
+from adl.trace import compare_traces
 
 
 def blas_threads():
@@ -98,7 +99,7 @@ def test_parallel_lost_last_message_trips_the_deadlock_timeout(
     start = time.perf_counter()
     with pytest.raises(ProtocolError, match="deadlock: edge 2->1 empty"):
         scheduler.run_parallel(cfg, ds, deadlock_timeout=0.3)
-    assert time.perf_counter() - start < 1.3
+    assert 0.3 <= time.perf_counter() - start < 1.3  # no early give-up
     assert threading.active_count() == threads
     assert blas_threads() == blas
 
@@ -176,10 +177,12 @@ def test_accumulator_rejects_a_gradient_of_another_layout(spiral_case):
         w.acc.add(w.params[:1], 0, 0)
 
 
-@pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0, float("inf")])
+@pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0, float("inf"),
+                                     threading.TIMEOUT_MAX * 2])
 def test_parallel_rejects_a_deadlock_timeout_before_any_thread(
         timeout, spiral_case, monkeypatch):
-    # a NaN timeout never trips, so a lost message would hang the run
+    # a NaN timeout never trips, so a lost message would hang the run, and
+    # a wait past TIMEOUT_MAX overflows even with a message waiting
     cfg, ds = spiral_case(3, 2, S=6)
     started = []
     monkeypatch.setattr(scheduler.threading.Thread, "start",
@@ -189,16 +192,25 @@ def test_parallel_rejects_a_deadlock_timeout_before_any_thread(
     assert started == []
 
 
-def test_parallel_reraises_a_worker_error_and_joins_every_thread(
-        spiral_case, monkeypatch):
+def test_parallel_runs_at_the_longest_deadlock_timeout(spiral_case):
+    cfg, ds = spiral_case(3, 2, S=6, record_params=True)
+    a = scheduler.run_clocked(cfg, ds)
+    b = scheduler.run_parallel(cfg, ds, deadlock_timeout=threading.TIMEOUT_MAX)
+    assert compare_traces(a, b, tol=0.0).passed
+    np.testing.assert_array_equal(a.final_params, b.final_params)
+
+
+def _fail_at(k, u, timeout, spiral_case, monkeypatch):
+    """Run a K=3, M=2, S=6 run_parallel whose module k raises at slot u;
+    assert that the run re-raises it within 1 s and joins all 3 threads."""
     cfg, ds = spiral_case(3, 2, S=6)
-    boom = RuntimeError("module 2 failed at slot 5")
+    boom = RuntimeError(f"module {k} failed at slot {u}")
     process_slot = scheduler.ModuleWorker.process_slot
 
-    def failing(w, u, *args):
-        if (w.k, u) == (2, 5):
+    def failing(w, slot, *args):
+        if (w.k, slot) == (k, u):
             raise boom
-        return process_slot(w, u, *args)
+        return process_slot(w, slot, *args)
 
     started = []
 
@@ -211,8 +223,19 @@ def test_parallel_reraises_a_worker_error_and_joins_every_thread(
     monkeypatch.setattr(scheduler.threading, "Thread", Recorded)
     start = time.perf_counter()
     with pytest.raises(RuntimeError) as info:
-        scheduler.run_parallel(cfg, ds, deadlock_timeout=1.0)
+        scheduler.run_parallel(cfg, ds, deadlock_timeout=timeout)
     assert time.perf_counter() - start < 1.0
     assert info.value is boom
     assert len(started) == 3
     assert not any(t.is_alive() for t in started)
+
+
+def test_parallel_reraises_a_worker_error_and_joins_every_thread(
+        spiral_case, monkeypatch):
+    _fail_at(2, 5, 1.0, spiral_case, monkeypatch)
+
+
+@pytest.mark.parametrize("k,u", [(1, 0), (2, 5), (3, 11)])
+def test_a_failing_worker_closes_every_edge(k, u, spiral_case, monkeypatch):
+    # the others stop at their next read, long before the 60 s timeout
+    _fail_at(k, u, 60.0, spiral_case, monkeypatch)

@@ -93,3 +93,34 @@ def test_parallel_wall_time_recorded(spiral_case):
     trace = run_parallel(cfg, ds)
     assert trace.wall_time > 0.0
     assert trace.mode == "adl-parallel"
+
+
+def recording_peaks(base, peaks):
+    """`base` that records in peaks[key] the most messages its edge held
+    right after a put."""
+
+    class Recorded(base):
+        def put(self, msg):
+            super().put(msg)
+            peaks[self.key] = max(peaks.get(self.key, 0), self.qsize())
+
+    return Recorded
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel])
+@pytest.mark.parametrize("K", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_the_schedule_bounds_every_edge(runner, K, M, ident_case,
+                                        monkeypatch):
+    # why run_parallel's edges need no capacity: edge k->k+1 holds at most
+    # max(2, 2(K-k)) activations and edge k+1->k at most 2 gradients
+    cfg, ds = ident_case(K, M, S=24 // M)
+    peaks = {}
+    for name in ("_Fifo", "_Edge"):
+        monkeypatch.setattr(scheduler, name, recording_peaks(
+            getattr(scheduler, name), peaks))
+    runner(cfg, ds)
+    assert set(peaks) == {e for k in range(1, K)
+                          for e in ((k, k + 1), (k + 1, k))}
+    for (a, b), peak in peaks.items():
+        assert peak <= (max(2, 2 * (K - a)) if b == a + 1 else 2), (a, b)

@@ -548,6 +548,18 @@ def test_config_validation(monkeypatch):
                       ConstantLr(0.1))
     with pytest.raises(ConfigError):
         run_clocked(cfg, data.gen_linreg(8, 5, 0.0, 0))
+    # counts and the seed are Python or numpy integers, kept as int: a
+    # float one would kill the run with a raw TypeError, and a numpy seed
+    # would overflow in the sampler
+    for name, bad in (("ga_steps", 2.0), ("updates", 1.0),
+                      ("batch_size", 4.0), ("seed", 1.5), ("seed", True),
+                      ("ga_steps", "2")):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(cfg, **{name: bad})
+    numpy_ints = replace(cfg, ga_steps=np.int64(2), updates=np.int32(1),
+                         batch_size=np.uint8(4), seed=np.int64(3))
+    assert {type(numpy_ints.seed), type(numpy_ints.batch_size)} == {int}
+    assert run_clocked(numpy_ints, data.gen_linreg(8, 2, 0.0, 0)).S == 1
     # every runner checks the loss and the head against the dataset's
     # arrays, and refuses a bad pair before it draws a batch
     def no_batch(*args):
