@@ -90,7 +90,7 @@ def batch_indices(sampler_seed: int, t: int, n: int, batch_size: int):
     _sampler.rng.bit_generator.state = {
         "bit_generator": "Philox", "buffer": _ZEROS, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0, "state": {
-            "counter": _ZEROS, "key": (sampler_seed & 0xFFFFFFFFFFFFFFFF, t)}}
+            "counter": _ZEROS, "key": (int(sampler_seed) % 2 ** 64, t)}}
     return _sampler.rng.integers(0, n, size=batch_size)
 
 

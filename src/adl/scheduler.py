@@ -493,8 +493,9 @@ class _Edge:
 
 @functools.cache
 def _openblas():
-    """(get, set) of the thread count of numpy's bundled scipy-openblas,
-    or None if this numpy has none."""
+    """(get, set, park) for numpy's bundled scipy-openblas, or None if
+    this numpy has none: get and set its thread count, and park (shut
+    down) its thread pool, None if the build does not export that."""
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
@@ -504,25 +505,32 @@ def _openblas():
         except (OSError, AttributeError):
             continue
         put.argtypes = [ctypes.c_int]
-        return get, put
+        return get, put, getattr(lib, "blas_thread_shutdown_", None)
     return None
 
 
 @contextlib.contextmanager
 def _blas_share(K: int):
     """Run the block with numpy's n OpenBLAS threads cut to one module
-    thread's share, max(1, n // K); restore n afterwards."""
+    thread's share, max(1, n // K); restore n afterwards.  At a share of
+    1 a lone caller also parks the pool, whose idle threads would spin on
+    the modules' cores for about 2^28 cycles after their last job; setting
+    n re-creates it.  Beside another thread the pool stays: a shutdown
+    hangs while a thread is inside a threaded call."""
     blas = _openblas()
     n = blas[0]() if blas else 1
     share = max(1, n // K)
     if share == n:
         yield
         return
-    blas[1](share)
+    _, put, park = blas
+    put(share)  # first: a put re-creates a parked pool
+    if share == 1 and park and threading.active_count() == 1:
+        park()
     try:
         yield
     finally:
-        blas[1](n)
+        put(n)
 
 
 def run_parallel(cfg: TrainConfig, dataset: Dataset,
@@ -538,9 +546,11 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     While the workers run, numpy's bundled OpenBLAS runs max(1, n // K)
     threads instead of its n, so the K workers share the cores rather
     than each starting n BLAS threads; n is restored afterwards, also
-    when the run raises.  The setting is process-wide: numpy calls of
-    other threads see the reduced count while the run lasts.  A numpy
-    without bundled scipy-openblas is left alone.
+    when the run raises.  At a share of 1 a lone caller also parks
+    OpenBLAS's idle thread pool for the run (see _blas_share).  The
+    setting is process-wide: numpy calls of other threads see the
+    reduced count while the run lasts.  A numpy without bundled
+    scipy-openblas is left alone.
     """
     if not 0.0 < deadlock_timeout <= threading.TIMEOUT_MAX:  # NaN too
         raise ConfigError(f"deadlock_timeout must be > 0 and at most "

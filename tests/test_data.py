@@ -80,6 +80,18 @@ def test_batch_indices_equal_a_fresh_philox_per_batch(seed):
                                       _fresh_philox(seed, t, 50, 16))
 
 
+@pytest.mark.parametrize("kind,seed", [
+    (np.int64, 3), (np.uint64, 3), (np.int64, -3), (np.int64, 2 ** 63 - 1),
+    (np.uint64, 2 ** 64 - 1)])
+def test_numpy_integer_seeds_draw_the_python_int_batches(kind, seed):
+    ds = data.gen_linreg(32, 3, 0.0, seed=4)
+    for t in (0, 5):
+        got = data.sample_batch(ds, 4, kind(seed), t)
+        want = data.sample_batch(ds, 4, seed, t)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_batch_indices_are_pure_across_threads():
     # threads drawing at once, switched often, must not share one
     # generator's state

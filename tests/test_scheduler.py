@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -646,7 +647,7 @@ def test_run_parallel_shares_blas_threads(spiral_case, monkeypatch):
     blas = scheduler._openblas()
     if blas is None:
         pytest.skip("numpy has no bundled scipy-openblas")
-    get, put = blas
+    get, put, _ = blas
     seen = []
     sample_batch = scheduler.sample_batch
 
@@ -666,6 +667,110 @@ def test_run_parallel_shares_blas_threads(spiral_case, monkeypatch):
             assert get() == 2
     finally:
         put(before)
+
+
+def _tasks():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _settled(count):
+    """The thread count once it is back to `count`, or after 2 s: joined
+    threads take a moment to leave /proc/self/task."""
+    deadline = time.perf_counter() + 2.0
+    while _tasks() != count and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    return _tasks()
+
+
+def test_run_parallel_parks_the_idle_blas_pool(spiral_case, monkeypatch):
+    # a lone caller's K=2 run holds itself and the 2 workers and no
+    # OpenBLAS server thread; beside a second thread the pool stays
+    blas = scheduler._openblas()
+    if blas is None or blas[2] is None:
+        pytest.skip("numpy has no bundled scipy-openblas pool to park")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    get, put, _ = blas
+    n = get()
+    if n == 1:
+        pytest.skip("OpenBLAS runs one thread, so it has no pool")
+    seen = []
+    sample_batch = scheduler.sample_batch
+
+    def counting(*args):
+        seen.append(_tasks())
+        return sample_batch(*args)
+
+    monkeypatch.setattr(scheduler, "sample_batch", counting)
+    cfg, ds = spiral_case(2, 2, S=3)
+    waiting = threading.Event()
+    other = threading.Thread(target=waiting.wait)
+    put(2)  # a K=2 share of 1
+    try:
+        assert threading.active_count() == 1
+        before = _tasks()
+        assert before > 1  # the caller and the pool
+        run_parallel(cfg, ds)
+        assert max(seen) == 1 + cfg.K, seen
+        assert get() == 2
+        assert _settled(before) == before
+
+        other.start()
+        before = _tasks()
+        seen.clear()
+        run_parallel(cfg, ds)
+        assert max(seen) == before + cfg.K, (before, seen)
+        assert get() == 2
+    finally:
+        waiting.set()
+        if other.is_alive():
+            other.join()
+        put(n)
+
+
+# Loops threaded 512x512 matmuls in a second thread while run_parallel
+# trains the width-256, K=2 network 200 times at a share of 1; every run
+# must end with run_clocked's parameters.
+_BUSY_NEIGHBOUR = """
+import threading
+import numpy as np
+from adl import data, net
+from adl.optimizer import ConstantLr
+from adl.partition import partition_even
+from adl.scheduler import TrainConfig, run_clocked, run_parallel
+layers = [net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
+          net.affine(256, 256), net.LayerSpec(net.RELU, 256, 256),
+          net.affine(256, 1)]
+cfg = TrainConfig(layers, partition_even(5, 2), net.MSE, 1, 64, 4,
+                  ConstantLr(0.01), seed=3)
+ds = data.gen_linreg(512, 256, 0.1, 5)
+want = run_clocked(cfg, ds).final_params
+done = threading.Event()
+
+def busy():
+    a = np.ones((512, 512))
+    while not done.is_set():
+        a @ a
+
+neighbour = threading.Thread(target=busy)
+neighbour.start()
+try:
+    for _ in range(200):
+        assert np.array_equal(run_parallel(cfg, ds).final_params, want)
+finally:
+    done.set()
+    neighbour.join()
+"""
+
+
+def test_run_parallel_beside_a_threaded_matmul_does_not_hang():
+    # parking the pool while another thread is inside a threaded call hangs
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _BUSY_NEIGHBOUR], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_numpy_without_scipy_openblas_is_left_alone(tmp_path, monkeypatch):
