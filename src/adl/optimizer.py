@@ -12,9 +12,12 @@ but still count toward the group), then ga_update applies
 
 returning fresh parameter arrays so older versions are never mutated.
 An Accumulator is one update group of one module: it is opened for the
-group and dropped at its update.  Its sums live from the group's first
-real gradient to the update, which divides them in place into the
-average: at momentum 0 an update allocates only the new version.
+group and dropped at its update.  It owns the gradients it is handed:
+the group's first real gradient becomes its sums in place, later ones
+add into them, and the update scales them in place into the average,
+so at momentum 0 an update allocates only the new version.  The scale
+is exact: a power-of-two M multiplies by 1/M, the bits of / M, and
+M=1 makes no pass; any other M divides.
 The velocity v is private to its module and never recorded, so it is
 stepped in place.  At momentum 0, v = g' is not kept and the velocity
 returned is None.
@@ -58,8 +61,9 @@ class Slot:
 class Accumulator:
     """One update group of one module, from its first slot to average():
     up to `capacity` gradient slots and, from the first real gradient
-    on, their per-layer sums.  param_shapes, the per-layer sizes, is
-    kept as given, so accumulators may share one list."""
+    on, their per-layer sums, held in that gradient's own list and
+    arrays.  param_shapes, the per-layer sizes, is kept as given, so
+    accumulators may share one list."""
 
     __slots__ = ("capacity", "_sizes", "_sums", "slots")
 
@@ -80,17 +84,23 @@ class Accumulator:
 
     def add(self, grads, batch_index: int, version: int):
         """Accumulate a real gradient (list of flat per-layer arrays).
-        The first starts fresh sums, 0.0 + g, the bits of zeros + g; an
-        empty vector has no bits and is kept as it is."""
+        The accumulator takes the list and its arrays over, so no one
+        else may read them: the group's first gradient becomes the sums
+        in place, 0.0 + g (-0.0 turns +0.0, the bits of zeros + g), and
+        later ones add into them.  An empty vector has no bits and is
+        kept as it is."""
         if len(grads) != len(self._sizes):
             raise ProtocolError("gradient layout does not match accumulator")
         self._bump(batch_index, version)
-        if self._sums is None:
-            self._sums = [0.0 + g if g.size else g for g in grads]
-            return
-        for acc, g in zip(self._sums, grads):
-            if acc.size:
-                acc += g
+        sums = self._sums
+        for g, n, acc in zip(grads, self._sizes, sums or grads):
+            if g.shape != (n,):
+                raise ProtocolError(
+                    "gradient layout does not match accumulator")
+            if n:  # a first gradient turns into 0.0 + g in place
+                np.add(acc, g if sums else 0.0, out=acc)
+        if sums is None:
+            self._sums = grads
 
     def add_skipped(self, batch_index: int):
         """Record a pipeline-fill slot: contributes zero gradient but
@@ -98,18 +108,22 @@ class Accumulator:
         self._bump(batch_index, None)
 
     def average(self):
-        """Hand over the full group's sums divided in place by capacity,
-        the bits of sum / capacity, or fresh zeros if it holds only fill
-        slots; the accumulator then holds no array."""
+        """Hand over the full group's sums scaled in place to sum / M,
+        M = capacity, or fresh zeros if it holds only fill slots; the
+        accumulator then holds no array.  A power-of-two M multiplies by
+        1/M, which rounds the same exact value as / M, and M=1 makes no
+        pass; any other M divides."""
         if len(self.slots) != self.capacity:
             raise ProtocolError(f"update fired with {len(self.slots)}/"
                                 f"{self.capacity} slots accumulated")
         sums, self._sums = self._sums, None
         if sums is None:
             return [np.zeros(n) for n in self._sizes]
-        for gs in sums:
+        M = self.capacity  # x * 2**-k rounds the exact value of x / 2**k
+        scale, by = (np.divide, M) if M & (M - 1) else (np.multiply, 1.0 / M)
+        for gs in sums if M > 1 else ():
             if gs.size:
-                gs /= self.capacity
+                scale(gs, by, out=gs)
         return sums
 
 
@@ -120,7 +134,7 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
     Returns (new_params, velocity, avg_grads).  The accumulator's sums
-    become avg_grads, divided in place.  params are untouched, and the
+    become avg_grads, scaled in place.  params are untouched, and the
     empty vectors of parameterless layers pass through as they are.
     The velocity, zeros when None is passed, is stepped in place; at
     momentum 0 none is read and None is returned.

@@ -46,6 +46,86 @@ def test_a_first_gradient_is_added_to_zeros():
     assert not np.signbit(acc.average()[0][0])
 
 
+def test_the_first_gradient_becomes_the_sums():
+    # the accumulator adopts the caller's arrays, turned into 0.0 + g in
+    # place, and an M=1 update hands them over as the average
+    g = np.array([-0.0, 1.5, -0.0])
+    acc = Accumulator([3], 1)
+    acc.add([g], 0, 0)
+    avg = acc.average()
+    assert avg[0] is g
+    assert not np.signbit(g).any()
+    np.testing.assert_array_equal(g, [0.0, 1.5, 0.0])
+
+
+def test_a_first_gradient_is_adopted_without_allocating():
+    # one 256x256 affine layer's gradient: the first add keeps no copy
+    n = net.affine(256, 256).param_count
+    g = np.random.default_rng(0).standard_normal(n)
+    acc = Accumulator([n], 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        acc.add([g], 0, 0)
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 1024
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-323, 1.1e-308, -1.5e-310, np.inf,
+            -np.inf, np.nan, 1.7e308, -1.7e308, 1.0, -3.0, 0.1]
+
+
+@pytest.mark.parametrize("M,skipped", [(M, s) for M in (1, 2, 3, 4, 6, 8)
+                                        for s in (0, 1) if s < M])
+def test_the_average_has_the_bits_of_the_sum_over_m(M, skipped):
+    # (0.0 + g1 + g2 + ...) / M bit for bit, NaN payloads and signs too,
+    # whether M scales by 1/M or divides; fill slots count toward M
+    rng = np.random.default_rng(M * 10 + skipped)
+    n = 4 * len(_SPECIAL)
+    grads = []
+    for _ in range(M - skipped):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+        g[rng.choice(n, len(_SPECIAL), replace=False)] = _SPECIAL
+        grads.append(g)
+    acc = Accumulator([n], M)
+    for t in range(skipped):
+        acc.add_skipped(t - skipped)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = 0.0 + grads[0]
+        for g in grads[1:]:
+            expected = expected + g
+        expected = expected / M
+        for t, g in enumerate(grads):
+            acc.add([g.copy()], t, 0)
+        avg = acc.average()[0]
+    assert np.array_equal(avg.view(np.int64), expected.view(np.int64))
+
+
+def test_a_gradient_of_another_size_is_rejected():
+    # a gradient must match its layer's size: no broadcast into the sums,
+    # no mis-sized first gradient taken as the sums, and no real gradient
+    # aimed at a parameterless layer dropped
+    acc = Accumulator([3], 2)
+    acc.add([np.ones(3)], 0, 0)
+    with pytest.raises(ProtocolError, match="gradient layout does not "
+                                            "match accumulator"):
+        acc.add([np.array([5.0])], 1, 0)
+    for sizes, grads in (([3], [np.array([5.0])]),
+                         ([3], [np.ones((3, 1))]),
+                         ([0, 2], [np.ones(1), np.ones(2)])):
+        with pytest.raises(ProtocolError, match="gradient layout does not "
+                                                "match accumulator"):
+            Accumulator(sizes, 1).add(grads, 0, 0)
+    acc = Accumulator([0, 2], 2)
+    acc.add([np.zeros(0), np.ones(2)], 0, 0)
+    with pytest.raises(ProtocolError, match="gradient layout does not "
+                                            "match accumulator"):
+        acc.add([np.ones(1), np.ones(2)], 1, 0)
+
+
 def test_overflow_is_protocol_violation():
     acc = acc_of(1.0)
     with pytest.raises(ProtocolError, match="overflow"):

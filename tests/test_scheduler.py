@@ -234,15 +234,16 @@ def test_an_averaged_gradient_dies_with_its_update(K, runner, spiral_case,
 def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
                                                         spiral_case,
                                                         monkeypatch):
-    # when ga_update is entered, the slot's backward is over: none of the
-    # parameter gradients layer_backward returned is alive, the module
-    # holds only its live version and its stashed batches' versions, and
-    # of this slot's layer outputs only the last and the stashed ones are
-    # alive; each module of run_parallel is a thread, and the state below
-    # is kept per thread
+    # when ga_update is entered, the slot's backward is over: of the
+    # parameter gradients layer_backward returned only those the open
+    # accumulator adopted as its sums are alive, at most one per
+    # parameterised layer, the module holds only its live version and its
+    # stashed batches' versions, and of this slot's layer outputs only the
+    # last and the stashed ones are alive; each module of run_parallel is
+    # a thread, and the state below is kept per thread
     local, wrong, updates = threading.local(), [], []
     versions = {}  # (module, version) -> weak reference to its first array
-    grads = {}  # thread -> weak references to its parameter gradients
+    grads = {}  # module -> weak references to its parameter gradients
     process_slot = scheduler.ModuleWorker.process_slot
     forward, backward = scheduler.layer_forward, scheduler.layer_backward
     ga_update = scheduler.ga_update
@@ -261,15 +262,16 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
     def watched_backward(*args):
         out = backward(*args)
         if out[0].size:
-            grads.setdefault(threading.get_ident(), []).append(
-                weakref.ref(out[0]))
+            grads.setdefault(local.worker.k, []).append(weakref.ref(out[0]))
         return out
 
     def update(*args):
         w = local.worker
         updates.append(w.k)
-        if any(ref() is not None
-               for ref in grads.get(threading.get_ident(), ())):
+        sums = {id(a) for a in args[1]._sums or ()}
+        live = {id(ref()) for ref in grads.get(w.k, ()) if ref() is not None}
+        if (not live <= sums
+                or len(live) > sum(1 for p in w.params if p.size)):
             wrong.append((w.k, w.version, "parameter gradient"))
         alive = {v for (k, v), ref in versions.items()
                  if k == w.k and ref() is not None}
