@@ -14,10 +14,9 @@ returning fresh parameter arrays so older versions are never mutated.
 An Accumulator is one update group of one module: it is opened for the
 group and dropped at its update.  It owns the gradients it is handed:
 the group's first real gradient becomes its sums in place, later ones
-add into them, and the update scales them in place into the average,
-so at momentum 0 an update allocates only the new version.  The scale
-is exact: a power-of-two M multiplies by 1/M, the bits of / M, and
-M=1 makes no pass; any other M divides.
+add into them, and the update divides them in place by M into the
+average (M=1 makes no pass), so at momentum 0 an update allocates only
+the new version.
 The velocity v is private to its module and never recorded, so it is
 stepped in place.  At momentum 0, v = g' is not kept and the velocity
 returned is None.
@@ -108,22 +107,20 @@ class Accumulator:
         self._bump(batch_index, None)
 
     def average(self):
-        """Hand over the full group's sums scaled in place to sum / M,
-        M = capacity, or fresh zeros if it holds only fill slots; the
-        accumulator then holds no array.  A power-of-two M multiplies by
-        1/M, which rounds the same exact value as / M, and M=1 makes no
-        pass; any other M divides."""
+        """Hand over the full group's sums divided in place by capacity,
+        the bits of sum / capacity, or fresh zeros if it holds only fill
+        slots; the accumulator then holds no array.  A capacity of 1
+        makes no pass."""
         if len(self.slots) != self.capacity:
             raise ProtocolError(f"update fired with {len(self.slots)}/"
                                 f"{self.capacity} slots accumulated")
         sums, self._sums = self._sums, None
         if sums is None:
             return [np.zeros(n) for n in self._sizes]
-        M = self.capacity  # x * 2**-k rounds the exact value of x / 2**k
-        scale, by = (np.divide, M) if M & (M - 1) else (np.multiply, 1.0 / M)
-        for gs in sums if M > 1 else ():
-            if gs.size:
-                scale(gs, by, out=gs)
+        if self.capacity > 1:
+            for gs in sums:
+                if gs.size:
+                    gs /= self.capacity
         return sums
 
 
@@ -134,7 +131,7 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
     Requires a full accumulator (exactly capacity slots) -- the divisor
     is always the full group size M even when some slots were skipped.
     Returns (new_params, velocity, avg_grads).  The accumulator's sums
-    become avg_grads, scaled in place.  params are untouched, and the
+    become avg_grads, divided in place.  params are untouched, and the
     empty vectors of parameterless layers pass through as they are.
     The velocity, zeros when None is passed, is stepped in place; at
     momentum 0 none is read and None is returned.

@@ -82,7 +82,7 @@ _SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-323, 1.1e-308, -1.5e-310, np.inf,
                                         for s in (0, 1) if s < M])
 def test_the_average_has_the_bits_of_the_sum_over_m(M, skipped):
     # (0.0 + g1 + g2 + ...) / M bit for bit, NaN payloads and signs too,
-    # whether M scales by 1/M or divides; fill slots count toward M
+    # at M=1 with no pass as at any other M; fill slots count toward M
     rng = np.random.default_rng(M * 10 + skipped)
     n = 4 * len(_SPECIAL)
     grads = []
