@@ -26,16 +26,16 @@ import numpy as np
 
 from . import data as data_mod
 from . import net
-from .errors import AdlError, ConfigError, check_finite_nonneg
+from .errors import AdlError, ConfigError, check_finite_nonneg, check_pos
 from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
                         scaled_base_lr)
 from .oracle import delayed_replay, sync_ga_sgd
 from .partition import Partition, partition_by_params, partition_even
 from .scheduler import (TrainConfig, _check_counts, _check_dataset,
                         run_clocked, run_parallel)
-from .staleness import (_check_pos, _staleness_factor, averaged_los,
-                        averaged_los_sum, theorem1_rhs, theorem2_rhs,
-                        theorem3_bound, theorem3_lr)
+from .staleness import (averaged_los, averaged_los_sum, staleness_factor,
+                        theorem1_rhs, theorem2_rhs, theorem3_bound,
+                        theorem3_lr)
 from .trace import (compare_traces, read_csv, summary_text, write_csv,
                     write_events_csv)
 
@@ -98,7 +98,7 @@ _SCHEMA = {
                   "warmup_epochs": _checked("warmup_epochs"),
                   "milestones": _milestones,
                   "decay_factor": _checked("decay factor"),
-                  **{key: _checked(key, _check_pos) for key in
+                  **{key: _checked(key, check_pos) for key in
                      ("epsilon", "gap", "grad_bound", "smoothness")}},
     "run": {"mode": str, "out": str, "seed": int, "trace_level": str},
 }
@@ -292,12 +292,12 @@ def cmd_bounds(args) -> int:
     positive = ("grad_bound", "smoothness", "gap", "epsilon", "harmonic_c")
     for key in (*positive, "lr", "grad_norm_sq"):  # even without a partner
         if getattr(args, key) is not None:
-            (_check_pos if key in positive else check_finite_nonneg)(
+            (check_pos if key in positive else check_finite_nonneg)(
                 "--" + key.replace("_", "-"), getattr(args, key))
     if args.updates < 1:
         raise ConfigError(f"--updates must be >= 1, got {args.updates}")
     lines = [f"K={K} M={M} dbar_sum={dbar:.6g} "
-             f"staleness_factor={_staleness_factor(M, dbar):.6g}"]
+             f"staleness_factor={staleness_factor(M, dbar):.6g}"]
     if args.lr is not None and args.grad_norm_sq is not None:
         r1 = theorem1_rhs(args.lr, args.grad_norm_sq, args.grad_bound,
                           args.smoothness, M, dbar)

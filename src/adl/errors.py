@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and two argument checks."""
+"""Exception types shared across the package, and three argument checks."""
 import numbers
 
 
@@ -19,8 +19,9 @@ class ConfigError(AdlError, ValueError):
 
 
 class ProtocolError(AdlError, RuntimeError):
-    """Violation of the message/schedule protocol (missing or duplicate
-    message, version-law breach, accumulator overflow, deadlock)."""
+    """Violation of the message/schedule protocol (duplicate message,
+    version-law breach, accumulator overflow, or a missing message: an
+    empty edge of run_clocked, or one of run_parallel past its timeout)."""
 
 
 class ComparisonError(AdlError, ValueError):
@@ -31,6 +32,14 @@ def check_finite_nonneg(name: str, value, error=DomainError):
     """value if it is a finite number >= 0, else raise error; NaN fails."""
     if not 0.0 <= value < float("inf"):
         raise error(f"{name} must be >= 0 and finite, got {value}")
+    return value
+
+
+def check_pos(name: str, value, error=DomainError):
+    """float(value) if it is finite and > 0, else raise error; NaN fails."""
+    value = float(value)
+    if not 0.0 < value < float("inf"):
+        raise error(f"{name} must be positive and finite, got {value}")
     return value
 
 

@@ -24,13 +24,13 @@ A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
 backward's arrays dead before the update.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the messages, plain
-(batch, payload, target) tuples, on FIFO edges keyed (sender, receiver),
-and both runners feed every slot through it.  They differ only in the
-edges: run_clocked executes the tick loop in-process over deques;
-run_parallel runs one thread per module over unbounded queues, which the
-schedule itself bounds, and produces a bit-identical trace (each worker
-performs the same float operations in the same order, only wall-clock
-interleaving differs).
+(batch, payload, target) tuples, on edges keyed (sender, receiver), and
+both runners feed every slot through it.  Both build every edge from one
+class, an unbounded FIFO that the schedule itself bounds, and differ only
+in how long a read waits: run_clocked executes the tick loop in-process,
+and its reads never wait; run_parallel runs one thread per module, and
+produces a bit-identical trace (each worker performs the same float
+operations in the same order, only wall-clock interleaving differs).
 
 _assemble builds every runner's trace, the oracles' too, from the config
 and the K module records of each update, and judges divergence from the
@@ -393,9 +393,41 @@ class TickEvents:
                 yield TickEvent(tick, k, "update", u // M + 1)
 
 
-def _edges(K: int, make) -> dict:
-    """make((sender, receiver)) for both directions of every module pair."""
-    return {e: make(e) for k in range(1, K)
+class _Stopped(Exception):
+    """An edge of run_parallel was read after another worker failed."""
+
+
+_CLOSED = object()  # put on every edge of run_parallel once a worker fails
+
+
+class _Edge(queue.SimpleQueue):
+    """Unbounded FIFO between adjacent modules, the one edge class of both
+    runners.  A read waits up to timeout for a message (0 in run_clocked:
+    a clocked read never waits) and raises ProtocolError if none comes;
+    reading _CLOSED raises _Stopped.  Puts never wait, as the schedule
+    bounds each edge: module k's slot u >= 2(K-k) first reads the gradient
+    module k+1 sends at its slot u-2, which has read activation u-2, so
+    edge k->k+1 holds at most max(2, 2(K-k)) activations; module k+1 sends
+    gradient t after it reads activation t+2(K-k)-2, when module k has read
+    gradient t-2, so edge k+1->k holds at most 2 gradients."""
+
+    def __init__(self, key, timeout: float):
+        self.key, self.timeout = key, timeout
+
+    def get(self):
+        try:
+            item = queue.SimpleQueue.get(self, True, self.timeout)
+        except queue.Empty:
+            raise ProtocolError("missing message on edge %d->%d after %g s"
+                                % (*self.key, self.timeout)) from None
+        if item is _CLOSED:
+            raise _Stopped
+        return item
+
+
+def _edges(K: int, timeout: float) -> dict:
+    """_Edge(e, timeout) for both directions e of every module pair."""
+    return {e: _Edge(e, timeout) for k in range(1, K)
             for e in ((k, k + 1), (k + 1, k))}
 
 
@@ -430,65 +462,16 @@ def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
     return trace
 
 
-class _Fifo(deque):
-    """In-process edge of run_clocked; reading it empty is a ProtocolError."""
-
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-
-    put, qsize = deque.append, deque.__len__
-
-    def get(self):
-        if not self:
-            raise ProtocolError("missing message on edge %d->%d" % self.key)
-        return self.popleft()
-
-
 def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Single-process reference execution of the pipeline clock."""
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    edges = _edges(cfg.K, _Fifo)
+    edges = _edges(cfg.K, 0.0)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for _, k, u in _clock(cfg.K, cfg.total_batches):
             feed_slot(workers[k - 1], u, edges, cfg, dataset)
     return _finish(cfg, workers, edges, "adl-clocked", time.perf_counter() - t0)
-
-
-class _Stopped(Exception):
-    """An edge of run_parallel was read after another worker failed."""
-
-
-_CLOSED = object()  # put on every edge of run_parallel once a worker fails
-
-
-class _Edge:
-    """Unbounded FIFO between adjacent modules of run_parallel; reading
-    _CLOSED raises _Stopped.  Puts never wait, as the schedule bounds each
-    edge: module k's slot u >= 2(K-k) first reads the gradient module k+1
-    sends at its slot u-2, which has read activation u-2, so edge k->k+1
-    holds at most max(2, 2(K-k)) activations; module k+1 sends gradient t
-    after it reads activation t+2(K-k)-2, when module k has read gradient
-    t-2, so edge k+1->k holds at most 2 gradients."""
-
-    def __init__(self, key, timeout: float):
-        self.key, self.timeout, self.q = key, timeout, queue.SimpleQueue()
-        self.qsize = self.q.qsize
-
-    def put(self, item):
-        self.q.put(item)
-
-    def get(self):
-        try:
-            item = self.q.get(timeout=self.timeout)
-        except queue.Empty:
-            raise ProtocolError("deadlock: edge %d->%d empty too long"
-                                % self.key) from None
-        if item is _CLOSED:
-            raise _Stopped
-        return item
 
 
 @functools.cache
@@ -535,7 +518,8 @@ def _blas_share(K: int):
 
 def run_parallel(cfg: TrainConfig, dataset: Dataset,
                  deadlock_timeout: float = 60.0) -> RunTrace:
-    """One thread per module, unbounded FIFO edges, no global clock.
+    """One thread per module, no global clock, on the edges of
+    run_clocked, whose reads here wait up to deadlock_timeout.
 
     Produces the same trace as run_clocked bit for bit: message order on
     every edge is fixed by batch index, and each worker executes the
@@ -557,7 +541,7 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
                           f"threading.TIMEOUT_MAX, got {deadlock_timeout}")
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
-    edges = _edges(cfg.K, lambda e: _Edge(e, deadlock_timeout))
+    edges = _edges(cfg.K, deadlock_timeout)
     errors = {}
 
     def drive(w: ModuleWorker):
@@ -570,7 +554,7 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
             errors[w.k] = exc
             for edge in edges.values():
-                edge.q.put(_CLOSED)  # not edge.put: a faulty put may drop it
+                queue.SimpleQueue.put(edge, _CLOSED)  # bypasses a faulty put
 
     threads = [threading.Thread(target=drive, args=(w,), daemon=True)
                for w in workers]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, check_finite_nonneg, check_int
+from .errors import DomainError, check_finite_nonneg, check_int, check_pos
 
 
 def _check_module_args(K, k, M):
@@ -65,14 +65,8 @@ def averaged_los_sum(K: int, M: int) -> Fraction:
     return Fraction(K * (K - 1), M)
 
 
-def _check_pos(name, v, error=DomainError):
-    v = float(v)
-    if not np.isfinite(v) or v <= 0.0:
-        raise error(f"{name} must be positive and finite, got {v}")
-    return v
-
-
-def _staleness_factor(M, dbar_sum) -> float:
+def staleness_factor(M, dbar_sum) -> float:
+    """1 + dbar_sum / M, the staleness factor of the bounds."""
     M = _check_module_args(1, 1, M)[2]  # an integer >= 1
     dbar_sum = check_finite_nonneg("summed averaged staleness",
                                    float(dbar_sum))
@@ -88,12 +82,12 @@ def theorem1_rhs(lr: float, grad_norm_sq: float, A: float, L: float,
     Requires L*lr <= 1.
     """
     lr = check_finite_nonneg("learning rate", float(lr))
-    A = _check_pos("A", A)
-    L = _check_pos("L", L)
+    A = check_pos("A", A)
+    L = check_pos("L", L)
     grad_norm_sq = check_finite_nonneg("grad_norm_sq", float(grad_norm_sq))
     if L * lr > 1.0 + 1e-12:
         raise DomainError(f"requires L*lr <= 1, got {L * lr}")
-    factor = _staleness_factor(M, dbar_sum)
+    factor = staleness_factor(M, dbar_sum)
     return -(lr / 2.0) * grad_norm_sq + lr * lr * A * L * factor / M
 
 
@@ -112,12 +106,12 @@ def theorem2_rhs(lrs, gap: float, A: float, L: float,
         raise DomainError("learning rates must be positive and finite")
     if np.any(np.diff(lrs) > 1e-15):
         raise DomainError("learning-rate sequence must be non-increasing")
-    gap = _check_pos("gap", gap)
-    A = _check_pos("A", A)
-    L = _check_pos("L", L)
+    gap = check_pos("gap", gap)
+    A = check_pos("A", A)
+    L = check_pos("L", L)
     if L * float(lrs[0]) > 1.0 + 1e-12:
         raise DomainError(f"requires L*lr_0 <= 1, got {L * float(lrs[0])}")
-    factor = _staleness_factor(M, dbar_sum)
+    factor = staleness_factor(M, dbar_sum)
     M = int(M)
     T = float(np.sum(lrs))
     sumsq = float(np.sum(lrs * lrs))
@@ -126,14 +120,14 @@ def theorem2_rhs(lrs, gap: float, A: float, L: float,
 
 def _theorem3_args(epsilon, gap, S, A, L, M, dbar_sum):
     """Validated (epsilon, gap, S, A, L, M, staleness factor)."""
-    epsilon = _check_pos("epsilon", epsilon)
-    gap = _check_pos("gap", gap)
+    epsilon = check_pos("epsilon", epsilon)
+    gap = check_pos("gap", gap)
     S = check_int("S", S)
     if S < 1:
         raise DomainError(f"S must be >= 1, got {S}")
-    A = _check_pos("A", A)
-    L = _check_pos("L", L)
-    factor = _staleness_factor(M, dbar_sum)
+    A = check_pos("A", A)
+    L = check_pos("L", L)
+    factor = staleness_factor(M, dbar_sum)
     return epsilon, gap, S, A, L, int(M), factor
 
 

@@ -1,10 +1,11 @@
 """Injected transport faults surface as ProtocolError and never hang.
 
-Each fault subclasses the edge class a runner builds (the in-process FIFO
-of run_clocked, the unbounded queue of run_parallel) and drops, duplicates
-or reorders one message on one edge.  A worker driven out of its schedule
-raises ProtocolError itself, and an error raised inside a worker thread
-closes every edge of run_parallel and reaches its caller.
+Each fault subclasses _Edge, the one edge class both runners build, and
+drops, duplicates or reorders one message on one edge.  A read of an empty
+edge raises ProtocolError at once in run_clocked and after the deadlock
+timeout in run_parallel.  A worker driven out of its schedule raises
+ProtocolError itself, and an error raised inside a worker thread closes
+every edge of run_parallel and reaches its caller.
 """
 import threading
 import time
@@ -68,10 +69,12 @@ LOST_LAST = ("drop", (2, 1), 9, "missing message on edge 2->1")
 def test_clocked_reports_transport_faults(fault, edge, nth, match,
                                           spiral_case, monkeypatch):
     cfg, ds = spiral_case(2, 2, S=6)
-    monkeypatch.setattr(scheduler, "_Fifo",
-                        faulty(scheduler._Fifo, fault, edge, nth))
+    monkeypatch.setattr(scheduler, "_Edge",
+                        faulty(scheduler._Edge, fault, edge, nth))
+    start = time.perf_counter()
     with pytest.raises(ProtocolError, match=match):
         scheduler.run_clocked(cfg, ds)
+    assert time.perf_counter() - start < 0.5  # a clocked read never waits
 
 
 @pytest.mark.parametrize("fault,edge,nth,match", FAULTS)
@@ -97,7 +100,8 @@ def test_parallel_lost_last_message_trips_the_deadlock_timeout(
                         faulty(scheduler._Edge, *LOST_LAST[:3]))
     threads, blas = threading.active_count(), blas_threads()
     start = time.perf_counter()
-    with pytest.raises(ProtocolError, match="deadlock: edge 2->1 empty"):
+    with pytest.raises(ProtocolError,
+                       match="missing message on edge 2->1 after 0.3 s"):
         scheduler.run_parallel(cfg, ds, deadlock_timeout=0.3)
     assert 0.3 <= time.perf_counter() - start < 1.3  # no early give-up
     assert threading.active_count() == threads

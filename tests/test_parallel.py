@@ -112,13 +112,12 @@ def recording_peaks(base, peaks):
 @pytest.mark.parametrize("M", [1, 2, 4])
 def test_the_schedule_bounds_every_edge(runner, K, M, ident_case,
                                         monkeypatch):
-    # why run_parallel's edges need no capacity: edge k->k+1 holds at most
-    # max(2, 2(K-k)) activations and edge k+1->k at most 2 gradients
+    # why no edge of either runner needs a capacity: edge k->k+1 holds at
+    # most max(2, 2(K-k)) activations and edge k+1->k at most 2 gradients
     cfg, ds = ident_case(K, M, S=24 // M)
     peaks = {}
-    for name in ("_Fifo", "_Edge"):
-        monkeypatch.setattr(scheduler, name, recording_peaks(
-            getattr(scheduler, name), peaks))
+    monkeypatch.setattr(scheduler, "_Edge",
+                        recording_peaks(scheduler._Edge, peaks))
     runner(cfg, ds)
     assert set(peaks) == {e for k in range(1, K)
                           for e in ((k, k + 1), (k + 1, k))}
