@@ -1,9 +1,8 @@
 """Gradient accumulation and the accumulated SGD update.
 
 A module's parameters are a list of flat per-layer vectors; gradients
-use the same layout.  The Accumulator sums exactly M gradient slots
-(some possibly skipped during pipeline fill -- those contribute zero
-but still count toward the group), then ga_update applies
+use the same layout.  The Accumulator sums exactly M gradient slots,
+then ga_update applies
 
     g_avg = grad_sum / M
     g'    = g_avg + weight_decay * theta        (coupled decay)
@@ -11,8 +10,10 @@ but still count toward the group), then ga_update applies
     theta = theta - lr * v
 
 returning fresh parameter arrays so older versions are never mutated.
-An Accumulator is one update group of one module: it is opened for the
-group and dropped at its update.  It owns the gradients it is handed:
+An Accumulator is one update group of one module: it opens with its
+fill slots, whose batch is negative while the pipeline fills (they add
+zero but count toward M), and is dropped at its update.  It owns the
+gradients it is handed:
 the group's first real gradient becomes its sums in place, later ones
 add into them, and the update divides them in place by M into the
 average (M=1 makes no pass), so at momentum 0 an update allocates only
@@ -59,38 +60,37 @@ class Slot:
 
 class Accumulator:
     """One update group of one module, from its first slot to average():
-    up to `capacity` gradient slots and, from the first real gradient
-    on, their per-layer sums, held in that gradient's own list and
-    arrays.  param_shapes, the per-layer sizes, is kept as given, so
-    accumulators may share one list."""
+    `capacity` slots of batches first_batch, first_batch + 1, ..., the
+    negative ones held from the start as fill slots (version None), and
+    from the first real gradient on their per-layer sums, held in that
+    gradient's own list and arrays.  param_shapes, the per-layer sizes,
+    is kept as given, so accumulators may share one list."""
 
     __slots__ = ("capacity", "_sizes", "_sums", "slots")
 
-    def __init__(self, param_shapes, capacity: int):
+    def __init__(self, param_shapes, capacity: int, first_batch: int):
         if capacity < 1:
             raise DomainError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._sizes = param_shapes
         self._sums = None  # per-layer arrays while a real gradient is held
-        self.slots = []
+        self.slots = [Slot(j, first_batch + j)
+                      for j in range(min(capacity, -first_batch))]
 
-    def _bump(self, batch_index: int, version):
+    def add(self, grads, batch_index: int, version: int):
+        """Accumulate a real gradient (list of flat per-layer arrays) as
+        the next slot.  The accumulator takes the list and its arrays
+        over, so no one else may read them: the group's first gradient
+        becomes the sums in place, 0.0 + g (-0.0 turns +0.0, the bits of
+        zeros + g), and later ones add into them.  An empty vector has
+        no bits and is kept as it is."""
+        if len(grads) != len(self._sizes):
+            raise ProtocolError("gradient layout does not match accumulator")
         j = len(self.slots)
         if j == self.capacity:
             raise ProtocolError(
                 f"accumulator overflow: {self.capacity} slots already held")
         self.slots.append(Slot(j, batch_index, version))
-
-    def add(self, grads, batch_index: int, version: int):
-        """Accumulate a real gradient (list of flat per-layer arrays).
-        The accumulator takes the list and its arrays over, so no one
-        else may read them: the group's first gradient becomes the sums
-        in place, 0.0 + g (-0.0 turns +0.0, the bits of zeros + g), and
-        later ones add into them.  An empty vector has no bits and is
-        kept as it is."""
-        if len(grads) != len(self._sizes):
-            raise ProtocolError("gradient layout does not match accumulator")
-        self._bump(batch_index, version)
         sums = self._sums
         for g, n, acc in zip(grads, self._sizes, sums or grads):
             if g.shape != (n,):
@@ -100,11 +100,6 @@ class Accumulator:
                 np.add(acc, g if sums else 0.0, out=acc)
         if sums is None:
             self._sums = grads
-
-    def add_skipped(self, batch_index: int):
-        """Record a pipeline-fill slot: contributes zero gradient but
-        still advances the group toward the update."""
-        self._bump(batch_index, None)
 
     def average(self):
         """Hand over the full group's sums divided in place by capacity,

@@ -4,13 +4,13 @@ delayed_replay reconstructs what the pipeline is *supposed* to compute,
 from first principles and without any message passing: the j-th
 gradient of update s+1 in module k is the slice of a full-network
 gradient of batch t = M*s + j - 2*(K-k), evaluated on the parameters of
-version floor(t / M) (negative t are skipped fill slots).  That gradient
-depends on t alone, so the replay reads the rule the other way round: it
-walks the batches in order, runs one full pass of batch t on the live
-version (which is floor(t / M) by construction) and adds module k's
-slice to module k's accumulator for update floor((t + 2*(K-k)) / M).  At
-the end of each group of M batches every module steps its slice of the
-one whole-network parameter list.
+version floor(t / M), a fill slot if t < 0 that the update's accumulator
+opens with.  That gradient depends on t alone, so the replay reads the
+rule the other way round: it walks the batches in order, runs one full
+pass of batch t on the live version (floor(t / M) by construction) and
+adds module k's slice to module k's accumulator for update
+floor((t + 2*(K-k)) / M).  At the end of each group of M batches every
+module steps its slice of the one whole-network parameter list.
 Because the counter-based sampler lets any batch be rematerialized
 exactly and ga_update is shared, a run_clocked trace must match the
 replay bit for bit -- that equality is the core correctness claim for
@@ -73,10 +73,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         """Module k's accumulator for update u, opened with its fill slots."""
         acc = accs[k].get(u)
         if acc is None:
-            acc = accs[k][u] = Accumulator(sizes[k], M)
-            first = M * u - 2 * (K - k)
-            for t in range(first, min(first + M, 0)):
-                acc.add_skipped(t)
+            acc = accs[k][u] = Accumulator(sizes[k], M, M * u - 2 * (K - k))
         return acc
 
     def replay(t):

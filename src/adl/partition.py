@@ -6,6 +6,7 @@ module k owns layers bounds[k-1] .. bounds[k]-1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -60,6 +61,8 @@ def partition_by_cost(costs, K: int) -> Partition:
     prefix = [0.0]
     for c in costs:
         prefix.append(prefix[-1] + c)
+    if not math.isfinite(prefix[-1]):  # so is any NaN or infinite cost
+        raise ConfigError("layer costs and their sum must be finite")
 
     def seg(lo, hi):  # cost of layers lo..hi-1
         return prefix[hi] - prefix[lo]

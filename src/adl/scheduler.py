@@ -186,7 +186,7 @@ class ModuleWorker:
         self.version = 0
         self.stash = deque()  # FIFO of (batch, intermediates, version, params)
         self._sizes = [p.size for p in self.params]
-        self.acc = Accumulator(self._sizes, self.M)  # the open group
+        self.acc = None  # the open group's Accumulator, None between groups
         self.update_records = []
         self._losses = []  # module K: the open group's batch losses
 
@@ -220,6 +220,8 @@ class ModuleWorker:
                     f"stash occupancy {len(self.stash)} exceeds "
                     f"{self.two_delta + 1} in module {self.k}")
         t_b, g = u - self.two_delta, None
+        if u % self.M == 0:  # a group opens with its fill slots
+            self.acc = Accumulator(self._sizes, self.M, t_b)
         if t_b >= 0:
             if not self.stash or self.stash[0][0] != t_b:
                 raise ProtocolError(
@@ -233,16 +235,13 @@ class ModuleWorker:
                                              g, i > 0 or self.k > 1)
             self.acc.add(grads, t_b, version)
             del sparams, grads
-        else:
-            self.acc.add_skipped(t_b)
         del inters  # the backward's arrays are dead before the update
         if u % self.M == self.M - 1:
-            cfg = self.cfg
-            slots = list(self.acc.slots)  # exact size: the trace keeps it
+            cfg, acc, self.acc = self.cfg, self.acc, None
+            slots = list(acc.slots)  # exact size: the trace keeps it
             self.params, self.velocity, avg = ga_update(
-                self.params, self.acc, lr_at(cfg.schedule, self.version),
+                self.params, acc, lr_at(cfg.schedule, self.version),
                 cfg.sgd, self.velocity)
-            self.acc = Accumulator(self._sizes, self.M)
             # _losses is empty outside module K, and tuple() of it is ()
             self.update_records.append(WorkerUpdate(
                 grads_sumsq(avg), slots,
@@ -256,7 +255,7 @@ class ModuleWorker:
         if self.stash:
             raise ProtocolError(
                 f"module {self.k} ended with {len(self.stash)} stashed contexts")
-        if self.acc.slots:
+        if self.acc is not None:
             raise ProtocolError(
                 f"module {self.k} ended with an open accumulator")
         if self.version != self.cfg.updates:

@@ -275,6 +275,11 @@ def compare_traces(a: RunTrace, b: RunTrace, tol: float = 0.0) -> CompareReport:
     if have_params:
         if len(a.params) != len(b.params):
             raise ComparisonError("parameter histories differ in length")
+        sizes = next(((pa.size, pb.size) for pa, pb in zip(a.params, b.params)
+                      if pa.size != pb.size), None)
+        if sizes:
+            raise ComparisonError("parameter vectors differ in size: "
+                                  "%d vs %d" % sizes)
         max_param = 0.0
     for i, (ra, rb) in enumerate(zip(a.updates, b.updates)):
         dl = _gap(ra.loss, rb.loss)

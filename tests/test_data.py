@@ -7,6 +7,7 @@ import pytest
 
 from adl import data
 from adl import net
+from adl.errors import ConfigError, DomainError
 from adl.optimizer import Accumulator, ConstantLr, SgdConfig, ga_update
 
 
@@ -123,6 +124,26 @@ def test_batch_larger_than_dataset_allowed():
     assert set(np.unique(idx)) <= {0, 1, 2}
 
 
+@pytest.mark.parametrize("n,dim", [(0, 3), (4, 0)])
+def test_linreg_rejects_an_empty_shape(n, dim):
+    with pytest.raises(ConfigError, match="linreg needs n >= 1 and dim >= 1"):
+        data.gen_linreg(n, dim, 0.0, seed=0)
+
+
+def test_two_spirals_need_two_points():
+    with pytest.raises(ConfigError, match="two_spirals needs n >= 2"):
+        data.gen_two_spirals(1, 0.0, seed=0)
+
+
+def test_batch_indices_validation():
+    with pytest.raises(DomainError, match="batch index must be >= 0, got -1"):
+        data.batch_indices(0, -1, 4, 2)
+    for n, batch_size in ((0, 2), (4, 0)):
+        with pytest.raises(DomainError,
+                           match="need n >= 1 and batch_size >= 1"):
+            data.batch_indices(0, 0, n, batch_size)
+
+
 def test_sample_batch_slices_dataset():
     ds = data.gen_linreg(32, 3, 0.0, seed=4)
     x, y = data.sample_batch(ds, 8, sampler_seed=11, t=5)
@@ -178,7 +199,7 @@ def test_linear_fit_with_plain_sgd_reaches_noise_free_optimum():
         x, y = data.sample_batch(ds, 32, sampler_seed=1, t=t)
         _, ctx = net.net_forward([spec], params, x, net.MSE, y)
         grads, _ = net.net_backward([spec], params, ctx)
-        acc = Accumulator([spec.param_count], 1)
+        acc = Accumulator([spec.param_count], 1, t)
         acc.add(grads, t, t)
         params, vel, _ = ga_update(params, acc, 0.1, SgdConfig(), vel)
     loss, _ = net.net_forward([spec], params, ds.inputs, net.MSE,

@@ -176,9 +176,10 @@ def test_drain_check_rejects_missing_updates(spiral_case):
 def test_accumulator_rejects_a_gradient_of_another_layout(spiral_case):
     cfg, _ = spiral_case(2, 2, S=6)
     w = scheduler.build_workers(cfg)[0]
+    acc = scheduler.Accumulator(w._sizes, w.M, 0)  # a group of w's layout
     with pytest.raises(ProtocolError, match="gradient layout does not "
                                             "match accumulator"):
-        w.acc.add(w.params[:1], 0, 0)
+        acc.add(w.params[:1], 0, 0)
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0, float("inf"),

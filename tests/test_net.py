@@ -252,6 +252,27 @@ def test_dimension_validation():
         net.tanh(3) and net.LayerSpec(net.TANH, 3, 4)
 
 
+def test_layer_spec_validation():
+    with pytest.raises(DimensionError, match="unknown layer kind 'conv'"):
+        net.LayerSpec("conv", 2, 2)
+    for dims in ((0, 2), (2, 0)):
+        with pytest.raises(DimensionError,
+                           match="layer dimensions must be positive"):
+            net.LayerSpec(net.AFFINE, *dims)
+
+
+def test_loss_validation():
+    pred = np.zeros((2, 3))
+    with pytest.raises(DimensionError, match=r"mse target shape \(2, 4\) "
+                                             r"!= prediction \(2, 3\)"):
+        net.loss_and_grad(net.MSE, pred, np.zeros((2, 4)))
+    with pytest.raises(DimensionError, match="softmax_ce labels must be one "
+                                             "per batch row"):
+        net.loss_and_grad(net.SOFTMAX_CE, pred, np.array([0, 1, 2]))
+    with pytest.raises(DimensionError, match="unknown loss kind 'hinge'"):
+        net.loss_and_grad("hinge", pred, np.array([0, 1]))
+
+
 @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
 def test_layers_take_only_batches(shape):
     # a single sample is a one-row batch; no other shape is accepted

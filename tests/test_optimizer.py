@@ -19,7 +19,7 @@ from adl.scheduler import TrainConfig, run_clocked
 
 
 def acc_of(*grads, capacity=None, sizes=(1,)):
-    acc = Accumulator(sizes, capacity or len(grads))
+    acc = Accumulator(sizes, capacity or len(grads), 0)
     for t, g in enumerate(grads):
         acc.add([np.atleast_1d(np.asarray(g, dtype=float))], t, 0)
     return acc
@@ -32,12 +32,24 @@ def test_accumulate_two_scalars():
 
 
 def test_skipped_slot_contributes_zero():
-    acc = Accumulator([1], 2)
-    acc.add_skipped(-2)
+    acc = Accumulator([1], 2, -1)
     acc.add([np.array([0.4])], 0, 0)
     assert acc.slots[0].skipped and not acc.slots[1].skipped
-    assert acc.slots[0].batch_index == -2
+    assert acc.slots[0].batch_index == -1
     np.testing.assert_array_equal(acc.average()[0], [0.2])  # 0.4 / 2
+
+
+@pytest.mark.parametrize("capacity,first,fill", [
+    (3, -1, 1), (2, -2, 2), (2, -5, 2), (2, 0, 0), (1, 4, 0)])
+def test_a_group_opens_with_its_fill_slots(capacity, first, fill):
+    # the slots of negative batches are held from the start, at most
+    # capacity of them; real gradients take the slots after them
+    acc = Accumulator([1], capacity, first)
+    assert acc.slots == [Slot(j, first + j) for j in range(fill)]
+    for j in range(fill, capacity):
+        acc.add([np.ones(1)], first + j, 0)
+    assert [s.batch_index for s in acc.slots] == \
+        list(range(first, first + capacity))
 
 
 def test_a_first_gradient_is_added_to_zeros():
@@ -50,7 +62,7 @@ def test_the_first_gradient_becomes_the_sums():
     # the accumulator adopts the caller's arrays, turned into 0.0 + g in
     # place, and an M=1 update hands them over as the average
     g = np.array([-0.0, 1.5, -0.0])
-    acc = Accumulator([3], 1)
+    acc = Accumulator([3], 1, 0)
     acc.add([g], 0, 0)
     avg = acc.average()
     assert avg[0] is g
@@ -62,7 +74,7 @@ def test_a_first_gradient_is_adopted_without_allocating():
     # one 256x256 affine layer's gradient: the first add keeps no copy
     n = net.affine(256, 256).param_count
     g = np.random.default_rng(0).standard_normal(n)
-    acc = Accumulator([n], 2)
+    acc = Accumulator([n], 2, 0)
     gc.collect()
     tracemalloc.start()
     try:
@@ -90,9 +102,7 @@ def test_the_average_has_the_bits_of_the_sum_over_m(M, skipped):
         g = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
         g[rng.choice(n, len(_SPECIAL), replace=False)] = _SPECIAL
         grads.append(g)
-    acc = Accumulator([n], M)
-    for t in range(skipped):
-        acc.add_skipped(t - skipped)
+    acc = Accumulator([n], M, -skipped)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = 0.0 + grads[0]
         for g in grads[1:]:
@@ -108,7 +118,7 @@ def test_a_gradient_of_another_size_is_rejected():
     # a gradient must match its layer's size: no broadcast into the sums,
     # no mis-sized first gradient taken as the sums, and no real gradient
     # aimed at a parameterless layer dropped
-    acc = Accumulator([3], 2)
+    acc = Accumulator([3], 2, 0)
     acc.add([np.ones(3)], 0, 0)
     with pytest.raises(ProtocolError, match="gradient layout does not "
                                             "match accumulator"):
@@ -118,8 +128,8 @@ def test_a_gradient_of_another_size_is_rejected():
                          ([0, 2], [np.ones(1), np.ones(2)])):
         with pytest.raises(ProtocolError, match="gradient layout does not "
                                                 "match accumulator"):
-            Accumulator(sizes, 1).add(grads, 0, 0)
-    acc = Accumulator([0, 2], 2)
+            Accumulator(sizes, 1, 0).add(grads, 0, 0)
+    acc = Accumulator([0, 2], 2, 0)
     acc.add([np.zeros(0), np.ones(2)], 0, 0)
     with pytest.raises(ProtocolError, match="gradient layout does not "
                                             "match accumulator"):
@@ -131,7 +141,7 @@ def test_overflow_is_protocol_violation():
     with pytest.raises(ProtocolError, match="overflow"):
         acc.add([np.array([1.0])], 5, 0)
     with pytest.raises(ProtocolError, match="overflow"):
-        acc.add_skipped(-1)
+        Accumulator([1], 1, -1).add([np.array([1.0])], 0, 0)
     assert len(acc.slots) == 1
 
 
@@ -143,7 +153,7 @@ def test_slot_is_a_replaceable_dataclass():
 
 
 def test_update_requires_full_group():
-    acc = Accumulator([1], 3)
+    acc = Accumulator([1], 3, 0)
     acc.add([np.array([1.0])], 0, 0)
     # the group is checked before the rate, so a NaN rate does not mask it
     for lr in (0.1, float("nan")):
@@ -166,9 +176,7 @@ def test_ga_update_example():
 
 
 def test_all_skipped_group_is_zero_step():
-    acc = Accumulator([2], 3)
-    for t in (-3, -2, -1):
-        acc.add_skipped(t)
+    acc = Accumulator([2], 3, -3)
     theta = [np.array([1.5, -2.0])]
     params, _, _ = ga_update(theta, acc, 0.5, SgdConfig())
     np.testing.assert_array_equal(params[0], theta[0])
@@ -196,7 +204,7 @@ def test_weight_decay_is_coupled():
 
 def test_m1_reduces_to_plain_sgd():
     g = np.array([0.3, -0.7])
-    acc = Accumulator([2], 1)
+    acc = Accumulator([2], 1, 0)
     acc.add([g], 0, 0)
     theta = [np.array([1.0, 1.0])]
     params, _, _ = ga_update(theta, acc, 0.2, SgdConfig())
@@ -258,7 +266,7 @@ def test_an_update_at_momentum_0_allocates_only_the_new_version():
     # averaged-gradient array beside them
     n = net.affine(256, 256).param_count
     rng = np.random.default_rng(0)
-    acc = Accumulator([n], 2)
+    acc = Accumulator([n], 2, 0)
     for t in range(2):
         acc.add([rng.standard_normal(n)], t, 0)
     theta = [rng.standard_normal(n)]
@@ -294,8 +302,7 @@ def test_grad_norm_helpers():
 def test_parameterless_module_update_writes_nothing():
     # a module of two parameterless layers: every vector is empty
     def group():
-        acc = Accumulator([0, 0], 2)
-        acc.add_skipped(-1)
+        acc = Accumulator([0, 0], 2, -1)
         acc.add([np.zeros(0), np.zeros(0)], 0, 0)
         return acc
 
@@ -314,7 +321,7 @@ def test_sgd_config_validation():
     with pytest.raises(DomainError):
         SgdConfig(weight_decay=-0.1)
     with pytest.raises(DomainError):
-        Accumulator([1], 0)
+        Accumulator([1], 0, 0)
 
 
 # --- schedules ---------------------------------------------------------------
@@ -348,6 +355,11 @@ def test_step_decay_rejects_counts_below_one(name, value):
     # at 0 the first lr_at divided by zero; below, no milestone ever passed
     with pytest.raises(DomainError, match=name):
         StepDecay(0.1, milestones_epochs=(1.0,), **{name: value})
+
+
+def test_step_decay_rejects_decreasing_milestones():
+    with pytest.raises(DomainError, match="milestones must not decrease"):
+        StepDecay(0.1, milestones_epochs=(2.0, 1.0))
 
 
 def test_step_decay_warmup_is_linear_then_nonincreasing():

@@ -1,17 +1,21 @@
 """Reference trainers and the central equivalence claims."""
 import itertools
+import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adl import data, net, oracle
 from adl.errors import ComparisonError
-from adl.optimizer import ConstantLr, Harmonic, SgdConfig
+from adl.optimizer import ConstantLr, Harmonic, SgdConfig, StepDecay
 from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.partition import Partition, partition_even
 from adl.scheduler import TrainConfig, run_clocked, run_parallel
-from adl.trace import compare_traces
+from adl.trace import compare_traces, read_csv, write_csv
 
 
 def assert_identical(a, b):
@@ -76,6 +80,88 @@ def test_four_runners_agree_over_every_split(M, sgd):
             assert [r.slots for r in clocked.updates] == \
                 [r.slots for r in other.updates], part
         assert others[0].events == clocked.events
+
+
+@st.composite
+def pipelines(draw):
+    """A random (TrainConfig, Dataset): a stack of up to 3 affine layers,
+    each followed by up to 2 tanh, relu or identity layers (and identity
+    layers to make up K), split into K <= 5 contiguous modules, with either loss, any schedule, rates that
+    diverge, and runs shorter than the pipeline fill."""
+    loss = draw(st.sampled_from([net.MSE, net.SOFTMAX_CE]))
+    K = draw(st.integers(1, 5))
+    n_affine = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 4), min_size=n_affine + 1,
+                         max_size=n_affine + 1))
+    if loss == net.SOFTMAX_CE:
+        dims[-1] = max(dims[-1], 2)
+    layers = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        layers.append(net.affine(d_in, d_out))
+        kinds = draw(st.lists(st.sampled_from([net.TANH, net.RELU,
+                                               net.IDENTITY]), max_size=2))
+        layers.extend(net.LayerSpec(kind, d_out, d_out) for kind in kinds)
+    layers += [net.identity(dims[-1])] * (K - len(layers))  # K modules
+    cuts = draw(st.permutations(range(1, len(layers))))[:K - 1]
+    M = draw(st.integers(1, 4))
+    lr = draw(st.sampled_from([0.0, 0.01, 0.1, 0.1, 1.0, 2000.0, 1e6]))
+    schedule = draw(st.sampled_from([
+        ConstantLr(lr), Harmonic(lr),
+        StepDecay(lr, warmup_updates=draw(st.integers(0, 2)),
+                  milestones_epochs=(0.5, 1.0), factor=0.5, ga_steps=M,
+                  batches_per_epoch=draw(st.integers(1, 8)))]))
+    sgd = SgdConfig(draw(st.sampled_from([0.0, 0.5, 0.9])),
+                    draw(st.sampled_from([0.0, 1e-3, 0.5])))
+    seed = draw(st.integers(0, 2 ** 16))
+    cfg = TrainConfig(
+        layers, Partition((0, *sorted(cuts), len(layers))), loss, M,
+        draw(st.integers(1, 6)), draw(st.integers(1, 5)), schedule, sgd,
+        seed=seed, init_scale=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+        record_params=draw(st.booleans()), record_grads=draw(st.booleans()),
+        trace_ticks=draw(st.booleans()),
+        divergence_limit=draw(st.sampled_from([0.0, 1.0, 1e12, 1e12, 1e12,
+                                               math.inf])))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 8))
+    x = rng.normal(size=(n, dims[0]))
+    y = rng.normal(size=(n, dims[-1])) if loss == net.MSE \
+        else rng.integers(0, dims[-1], size=n)
+    return cfg, data.Dataset(x, y)
+
+
+def bits(trace):
+    """Everything a runner computes, as bytes and exact values: updates
+    with provenance, the reason, params, grads and final_params."""
+    def arrays(xs):
+        return None if xs is None else [x.tobytes() for x in xs]
+
+    updates = [(r.s, r.tick, struct.pack("<2d", r.loss, r.grad_norm),
+                r.slots) for r in trace.updates]
+    return (updates, trace.diverged, trace.divergence_reason,
+            arrays(trace.params), arrays(trace.grads),
+            arrays(None if trace.final_params is None
+                   else [trace.final_params]))
+
+
+@given(case=pipelines())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_four_runners_agree_on_random_pipelines(case, tmp_path_factory):
+    # groups with no real gradient and runs shorter than the fill (M*S <
+    # 2(K-k)) included: every runner computes the same bits, and the CSV
+    # round trip compares equal at tol 0
+    cfg, ds = case
+    clocked, parallel = run_clocked(cfg, ds), run_parallel(cfg, ds)
+    oracles = [delayed_replay(cfg, ds)]
+    if cfg.K == 1:
+        oracles.append(sync_ga_sgd(cfg, ds))
+    for other in [parallel] + oracles:
+        assert bits(other) == bits(clocked)
+    events = [None if t.events is None else list(t.events)
+              for t in (clocked, parallel)]
+    assert events[0] == events[1] and (events[0] is None) != cfg.trace_ticks
+    path = tmp_path_factory.getbasetemp() / "random_pipeline.csv"
+    write_csv(clocked, path)
+    assert compare_traces(clocked, read_csv(path), tol=0.0).passed
 
 
 def test_equivalence_survives_momentum_decay_and_schedules(spiral_case):

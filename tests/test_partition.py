@@ -100,6 +100,18 @@ def test_partition_covers_all_layers(num_layers, K):
     assert max(sizes(p)) - min(sizes(p)) <= 1
 
 
+@pytest.mark.parametrize("costs", [[float("nan"), 1, 1],
+                                   [float("inf"), float("inf"), 1],
+                                   [1, float("inf"), float("inf")],
+                                   [1e308, 1e308, 1]])
+def test_cost_split_rejects_costs_whose_sum_is_not_finite(costs):
+    # a NaN or infinite prefix sum used to hang the boundary search or
+    # return bounds that leave a layer out
+    with pytest.raises(ConfigError, match="layer costs and their sum must "
+                                          "be finite"):
+        partition_by_cost(costs, 2)
+
+
 def test_partition_by_params_uses_param_counts():
     # affine(4,4) costs 20, activations cost 0
     specs = [net.affine(4, 4), net.tanh(4), net.affine(4, 4), net.tanh(4)]

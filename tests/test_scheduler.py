@@ -410,6 +410,20 @@ def test_a_tick_trace_holds_no_event(spiral_case):
         assert retained(S, True) - retained(S, False) < 2048, S
 
 
+def test_a_worker_holds_an_accumulator_only_while_its_group_is_open(
+        spiral_case):
+    # a group opens at its first slot and closes at its update
+    cfg, ds = spiral_case(3, 2, S=4)
+    workers = scheduler.build_workers(cfg)
+    assert all(w.acc is None for w in workers)
+    edges = scheduler._edges(cfg.K, 0.0)
+    for _, k, u in scheduler._clock(cfg.K, cfg.total_batches):
+        w = workers[k - 1]
+        scheduler.feed_slot(w, u, edges, cfg, ds)
+        assert (w.acc is None) == (u % 2 == 1)
+    assert all(w.acc is None for w in workers)
+
+
 def test_bootstrap_updates_are_zero_steps(spiral_case):
     # K=2, M=1: module 1's first two groups hold only skipped slots, so
     # its parameters stay at initialization through version 2
@@ -530,6 +544,12 @@ def test_loss_matches_full_batch_reference(spiral_case):
                   for i in range(len(cfg.layers))]
         loss, _ = net.net_forward(cfg.layers, params, x, cfg.loss, y)
         assert loss == rec.loss  # bit-identical
+
+
+def test_config_needs_a_layer():
+    with pytest.raises(ConfigError, match="need at least one layer"):
+        TrainConfig([], partition_even(1, 1), net.MSE, 1, 4, 1,
+                    ConstantLr(0.1))
 
 
 def test_config_validation(monkeypatch):

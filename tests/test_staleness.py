@@ -133,6 +133,14 @@ def test_theorem2_validation():
         stale.theorem2_rhs([2.0], 1.0, 1.0, 1.0, 1, 0.0)  # L*lr > 1
 
 
+@pytest.mark.parametrize("lrs", [[0.1, 0.0], [-0.1], [float("nan")],
+                                 [float("inf")]])
+def test_theorem2_rejects_rates_that_are_not_positive_and_finite(lrs):
+    with pytest.raises(DomainError, match="learning rates must be positive "
+                                          "and finite"):
+        stale.theorem2_rhs(lrs, 1.0, 1.0, 1.0, 1, 0.0)
+
+
 def test_theorem2_improves_with_m():
     lrs = [0.05] * 20
     a = stale.theorem2_rhs(lrs, 1.0, 1.0, 1.0, 1, 6.0)

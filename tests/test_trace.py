@@ -73,6 +73,17 @@ def test_compare_traces_refuses_parameter_histories_of_unequal_length(
         compare_traces(a, b)
 
 
+def test_compare_traces_refuses_parameter_vectors_of_unequal_size(
+        spiral_case):
+    # two nets of other widths: the vectors used to reach numpy unchecked
+    # and fail to broadcast
+    a = run_clocked(*spiral_case(2, 2, S=3, hidden=8, record_params=True))
+    b = run_clocked(*spiral_case(2, 2, S=3, hidden=6, record_params=True))
+    sizes = f"{a.params[0].size} vs {b.params[0].size}"
+    with pytest.raises(ComparisonError, match=f"differ in size: {sizes}"):
+        compare_traces(a, b)
+
+
 def test_compare_traces_passes_identical_diverged_traces(spiral_case):
     # run until the loss is NaN; infinities in the same places also match
     cfg, ds = spiral_case(2, 1, S=60, lr=2000.0, divergence_limit=math.inf)
