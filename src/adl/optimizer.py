@@ -9,15 +9,16 @@ then ga_update applies
     v     = momentum * v + g'
     theta = theta - lr * v
 
-returning fresh parameter arrays so older versions are never mutated.
-An Accumulator is one update group of one module: it opens with its
-fill slots, whose batch is negative while the pipeline fills (they add
-zero but count toward M), and is dropped at its update.  It owns the
-gradients it is handed:
-the group's first real gradient becomes its sums in place, later ones
-add into them, and the update divides them in place by M into the
-average (M=1 makes no pass), so at momentum 0 an update allocates only
-the new version.
+writing each new version into the averaged gradient's own arrays, so
+older versions are never mutated.  An Accumulator is one update group
+of one module: it opens with its fill slots, whose batch is negative
+while the pipeline fills (they add zero but count toward M), and is
+dropped at its update.  It owns the gradients it is handed: the group's
+first real gradient becomes its sums in place, later ones add into
+them, average() divides them in place by M (M=1 makes no pass), and
+ga_update writes the new version into them, so a group's sums become
+the next version and an update without weight decay allocates nothing
+parameter-sized.
 The velocity v is private to its module and never recorded, so it is
 stepped in place.  At momentum 0, v = g' is not kept and the velocity
 returned is None.
@@ -119,19 +120,21 @@ class Accumulator:
         return sums
 
 
-def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
-              velocity=None):
-    """Apply one accumulated-SGD step.
+def ga_update(params, avg, lr: float, sgd: SgdConfig, velocity=None):
+    """Apply one accumulated-SGD step to params with avg, a full group's
+    averaged gradient (Accumulator.average()).
 
-    Requires a full accumulator (exactly capacity slots) -- the divisor
-    is always the full group size M even when some slots were skipped.
-    Returns (new_params, velocity, avg_grads).  The accumulator's sums
-    become avg_grads, divided in place.  params are untouched, and the
-    empty vectors of parameterless layers pass through as they are.
-    The velocity, zeros when None is passed, is stepped in place; at
+    Returns (new_params, velocity).  ga_update takes avg's arrays over,
+    as Accumulator.add takes over gradients: each layer's lr * step is
+    written into its averaged gradient, then the new version
+    p - lr * step into the same array, so the new version's arrays are
+    avg's and, without weight decay, the update allocates nothing
+    parameter-sized.  step is read before it is overwritten, at every
+    momentum and weight decay.  params are untouched, and the empty
+    vectors of parameterless layers pass through as they are.  The
+    velocity, zeros when None is passed, is stepped in place; at
     momentum 0 none is read and None is returned.
     """
-    avg = acc.average()
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
     momentum = sgd.momentum != 0.0
@@ -148,10 +151,9 @@ def ga_update(params, acc: Accumulator, lr: float, sgd: SgdConfig,
                 v *= sgd.momentum
                 v += step
                 step = v
-            q = np.multiply(lr, step)  # becomes the new version: p - lr * v
-            p = np.subtract(p, q, out=q)
+            p = np.subtract(p, np.multiply(lr, step, out=g), out=g)  # in g
         new_params.append(p)
-    return new_params, velocity if momentum else None, avg
+    return new_params, velocity if momentum else None
 
 
 def grads_sumsq(grads) -> float:

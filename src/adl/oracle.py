@@ -94,12 +94,13 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         """Step module k to version s + 1 and return its WorkerUpdate."""
         sl, acc = slices[k], acc_for(k, s)
         del accs[k][s]
-        params[sl], velocities[k], avg = ga_update(
-            params[sl], acc, lr_at(cfg.schedule, s), cfg.sgd, velocities[k])
-        return WorkerUpdate(
-            grads_sumsq(avg), list(acc.slots),
-            params[sl] if cfg.record_params else None,
-            avg if cfg.record_grads else None, losses)
+        avg = acc.average()
+        sumsq = grads_sumsq(avg)
+        recorded = [g.copy() for g in avg] if cfg.record_grads else None
+        params[sl], velocities[k] = ga_update(
+            params[sl], avg, lr_at(cfg.schedule, s), cfg.sgd, velocities[k])
+        kept = params[sl] if cfg.record_params else None
+        return WorkerUpdate(sumsq, list(acc.slots), kept, recorded, losses)
 
     def groups():
         """Replay update by update, yielding each one's K records."""

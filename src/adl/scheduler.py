@@ -16,9 +16,11 @@ floor(t / M)  everywhere, which is what makes the delayed-gradient
 replay oracle exact.
 
 A module may update between a batch's forward and its delayed backward,
-so each stash entry carries the parameter list its forward read.  Updates
-build fresh arrays, so that reference is the snapshot: an unrecorded
-version lives exactly as long as it is current or a stashed batch reads it.
+so each stash entry carries the parameter list its forward read.  An
+update writes the new version into its averaged gradient's arrays and
+never mutates an older one, so that reference is the snapshot: an
+unrecorded version lives exactly as long as it is current or a stashed
+batch reads it.
 
 A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
@@ -238,15 +240,17 @@ class ModuleWorker:
         del inters  # the backward's arrays are dead before the update
         if u % self.M == self.M - 1:
             cfg, acc, self.acc = self.cfg, self.acc, None
-            slots = list(acc.slots)  # exact size: the trace keeps it
-            self.params, self.velocity, avg = ga_update(
-                self.params, acc, lr_at(cfg.schedule, self.version),
+            avg = acc.average()
+            sumsq = grads_sumsq(avg)
+            recorded = [g.copy() for g in avg] if cfg.record_grads else None
+            self.params, self.velocity = ga_update(
+                self.params, avg, lr_at(cfg.schedule, self.version),
                 cfg.sgd, self.velocity)
             # _losses is empty outside module K, and tuple() of it is ()
             self.update_records.append(WorkerUpdate(
-                grads_sumsq(avg), slots,
+                sumsq, list(acc.slots),  # exact size: the trace keeps it
                 self.params if cfg.record_params else None,
-                avg if cfg.record_grads else None, tuple(self._losses)))
+                recorded, tuple(self._losses)))
             self._losses.clear()
             self.version += 1
         return h, g
@@ -401,8 +405,8 @@ _CLOSED = object()  # put on every edge of run_parallel once a worker fails
 
 class _Edge(queue.SimpleQueue):
     """Unbounded FIFO between adjacent modules, the one edge class of both
-    runners.  A read waits up to timeout for a message (0 in run_clocked:
-    a clocked read never waits) and raises ProtocolError if none comes;
+    runners.  A read waits up to timeout for a message (0 in run_clocked,
+    whose reads do not block) and raises ProtocolError if none comes;
     reading _CLOSED raises _Stopped.  Puts never wait, as the schedule
     bounds each edge: module k's slot u >= 2(K-k) first reads the gradient
     module k+1 sends at its slot u-2, which has read activation u-2, so
@@ -411,11 +415,11 @@ class _Edge(queue.SimpleQueue):
     gradient t-2, so edge k+1->k holds at most 2 gradients."""
 
     def __init__(self, key, timeout: float):
-        self.key, self.timeout = key, timeout
+        self.key, self.timeout, self.block = key, timeout, timeout > 0
 
     def get(self):
         try:
-            item = queue.SimpleQueue.get(self, True, self.timeout)
+            item = queue.SimpleQueue.get(self, self.block, self.timeout)
         except queue.Empty:
             raise ProtocolError("missing message on edge %d->%d after %g s"
                                 % (*self.key, self.timeout)) from None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,18 @@ from adl import data, net
 from adl.optimizer import ConstantLr, SgdConfig
 from adl.partition import partition_even
 from adl.scheduler import TrainConfig
+
+# hypothesis's pytest plugin imports this module to report a failing
+# example; libcst, which it imports, touches the deprecated
+# mypy_extensions.TypedDict, and under -W error that warning would end
+# the report in an INTERNALERROR with no falsifying example.  Importing it
+# here, with only that warning ignored, leaves the report to print.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips the patch too
+        pass
 
 
 def _random_net(seed):

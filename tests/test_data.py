@@ -201,7 +201,8 @@ def test_linear_fit_with_plain_sgd_reaches_noise_free_optimum():
         grads, _ = net.net_backward([spec], params, ctx)
         acc = Accumulator([spec.param_count], 1, t)
         acc.add(grads, t, t)
-        params, vel, _ = ga_update(params, acc, 0.1, SgdConfig(), vel)
+        params, vel = ga_update(params, acc.average(), 0.1, SgdConfig(),
+                                vel)
     loss, _ = net.net_forward([spec], params, ds.inputs, net.MSE,
                               ds.targets)
     assert loss < 1e-6

@@ -159,26 +159,27 @@ def test_update_requires_full_group():
     for lr in (0.1, float("nan")):
         with pytest.raises(ProtocolError, match="update fired with 1/3 "
                                                 "slots accumulated"):
-            ga_update([np.array([0.0])], acc, lr, SgdConfig())
+            ga_update([np.array([0.0])], acc.average(), lr, SgdConfig())
 
 
 def test_ga_update_rejects_nan_rate():
     with pytest.raises(DomainError):
-        ga_update([np.array([0.0])], acc_of(0.2), float("nan"), SgdConfig())
+        ga_update([np.array([0.0])], acc_of(0.2).average(), float("nan"),
+                  SgdConfig())
 
 
 def test_ga_update_example():
     # theta=1, lr=0.1, grads 0.2 and 0.4 averaged over M=2 -> 0.97
-    acc = acc_of(0.2, 0.4)
-    params, _, avg = ga_update([np.array([1.0])], acc, 0.1, SgdConfig())
-    np.testing.assert_allclose(params[0], [0.97])
+    avg = acc_of(0.2, 0.4).average()
     np.testing.assert_allclose(avg[0], [0.3])
+    params, _ = ga_update([np.array([1.0])], avg, 0.1, SgdConfig())
+    np.testing.assert_allclose(params[0], [0.97])
 
 
 def test_all_skipped_group_is_zero_step():
     acc = Accumulator([2], 3, -3)
     theta = [np.array([1.5, -2.0])]
-    params, _, _ = ga_update(theta, acc, 0.5, SgdConfig())
+    params, _ = ga_update(theta, acc.average(), 0.5, SgdConfig())
     np.testing.assert_array_equal(params[0], theta[0])
     assert params[0] is not theta[0]  # fresh array either way
 
@@ -190,14 +191,14 @@ def test_momentum_displacement():
     v = None
     for _ in range(2):
         acc = acc_of(1.0)
-        theta, v, _ = ga_update(theta, acc, 1.0, sgd, v)
+        theta, v = ga_update(theta, acc.average(), 1.0, sgd, v)
     np.testing.assert_allclose(theta[0], [-2.9])
 
 
 def test_weight_decay_is_coupled():
     acc = acc_of(0.0)
-    params, _, _ = ga_update([np.array([2.0])], acc, 0.1,
-                             SgdConfig(weight_decay=0.5))
+    params, _ = ga_update([np.array([2.0])], acc.average(), 0.1,
+                          SgdConfig(weight_decay=0.5))
     # step = g + lambda*theta = 1.0, so theta' = 2.0 - 0.1
     np.testing.assert_allclose(params[0], [1.9])
 
@@ -207,8 +208,9 @@ def test_m1_reduces_to_plain_sgd():
     acc = Accumulator([2], 1, 0)
     acc.add([g], 0, 0)
     theta = [np.array([1.0, 1.0])]
-    params, _, _ = ga_update(theta, acc, 0.2, SgdConfig())
-    np.testing.assert_array_equal(params[0], theta[0] - 0.2 * g)
+    want = theta[0] - 0.2 * g  # before the update writes into g
+    params, _ = ga_update(theta, acc.average(), 0.2, SgdConfig())
+    np.testing.assert_array_equal(params[0], want)
 
 
 @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=6),
@@ -219,22 +221,27 @@ def test_update_invariant_under_slot_permutation(grads, perm):
     reordered = [grads[p] for p in perm]
     a = acc_of(*grads)
     b = acc_of(*reordered)
-    pa, _, _ = ga_update([np.array([1.0])], a, 0.1, SgdConfig())
-    pb, _, _ = ga_update([np.array([1.0])], b, 0.1, SgdConfig())
+    pa, _ = ga_update([np.array([1.0])], a.average(), 0.1, SgdConfig())
+    pb, _ = ga_update([np.array([1.0])], b.average(), 0.1, SgdConfig())
     # addition of two reals commutes exactly; longer sums agree to ulps
     np.testing.assert_allclose(pa[0], pb[0], rtol=1e-15, atol=1e-15)
 
 
 def test_update_returns_fresh_arrays():
+    # the new version is written into the average's arrays, never into
+    # the old version's or the velocity's
     acc = acc_of(1.0)
     theta = [np.array([1.0])]
-    params, vel, avg = ga_update(theta, acc, 0.1, SgdConfig(momentum=0.5))
-    assert params[0] is not theta[0] and vel[0] is not avg[0]
+    avg = acc.average()
+    params, vel = ga_update(theta, avg, 0.1, SgdConfig(momentum=0.5))
+    assert params[0] is avg[0] and vel[0] is not avg[0]
+    np.testing.assert_array_equal(theta[0], [1.0])
+    np.testing.assert_array_equal(params[0], [0.9])
     # the accumulator kept no array: averaging the group again gives zeros
-    # and leaves the average it handed over as it was
+    # and leaves the version the average became as it was
     again = acc.average()
     assert again[0] is not avg[0] and again[0][0] == 0.0
-    np.testing.assert_array_equal(avg[0], [1.0])
+    np.testing.assert_array_equal(params[0], [0.9])
 
 
 def test_momentum_costs_the_velocity_and_no_more():
@@ -260,10 +267,10 @@ def test_momentum_costs_the_velocity_and_no_more():
     assert peak(0.9) - peak(0.0) <= 1.05 * velocity
 
 
-def test_an_update_at_momentum_0_allocates_only_the_new_version():
-    # the sums are divided in place into the average, so one 256x256
-    # affine layer's update allocates the new version's bytes and no
-    # averaged-gradient array beside them
+def test_an_update_at_momentum_0_allocates_nothing_parameter_sized():
+    # the sums are divided in place into the average and the update
+    # writes the new version into the average's arrays, so one 256x256
+    # affine layer's update allocates nothing parameter-sized
     n = net.affine(256, 256).param_count
     rng = np.random.default_rng(0)
     acc = Accumulator([n], 2, 0)
@@ -274,20 +281,24 @@ def test_an_update_at_momentum_0_allocates_only_the_new_version():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ga_update(theta, acc, 0.1, SgdConfig())
+        ga_update(theta, acc.average(), 0.1, SgdConfig())
         grown = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert grown <= 1.05 * 8 * n
+    assert grown < 1024
 
 
 def test_the_sums_die_with_the_average_they_become():
-    # a full group's sums are the update's average: once the average is
+    # a full group's sums are the update's average, and the update writes
+    # the new version into them: once the average and that version are
     # dropped nothing holds them, though the accumulator lives on
     acc = acc_of(0.2, 0.4)
-    _, _, avg = ga_update([np.array([1.0])], acc, 0.1, SgdConfig())
+    avg = acc.average()
+    params, _ = ga_update([np.array([1.0])], avg, 0.1, SgdConfig())
     sums = weakref.ref(avg[0])
     del avg
+    assert sums() is params[0]
+    del params
     assert sums() is None
 
 
@@ -308,8 +319,9 @@ def test_parameterless_module_update_writes_nothing():
 
     theta = [np.zeros(0), np.zeros(0)]
     sgd = SgdConfig(momentum=0.9, weight_decay=0.1)
-    params, vel, avg = ga_update(theta, group(), 0.5, sgd)
-    params2, vel2, avg2 = ga_update(params, group(), 0.5, sgd, vel)
+    avg, avg2 = group().average(), group().average()
+    params, vel = ga_update(theta, avg, 0.5, sgd)
+    params2, vel2 = ga_update(params, avg2, 0.5, sgd, vel)
     assert all(p is t for p, t in zip(params + params2, theta + theta))
     assert all(v is w for v, w in zip(vel2, vel))
     assert [a.size for a in vel + avg + avg2] == [0] * 6

@@ -207,26 +207,96 @@ def test_a_version_is_freed_after_its_last_reader(K, M, runner, spiral_case,
 @pytest.mark.parametrize("K", (1, 2, 3))
 def test_an_averaged_gradient_dies_with_its_update(K, runner, spiral_case,
                                                    monkeypatch):
-    # at momentum 0 and without record_grads nothing reads an update's
-    # averaged gradient after grads_sumsq, so when ga_update is entered no
-    # average an earlier call of the same thread returned is alive; each
-    # module of run_parallel is a thread, the other runners' modules take
-    # turns on one
-    refs, alive, ga_update = {}, [], scheduler.ga_update
+    # at momentum 0 and without record_grads an update's averaged gradient
+    # lives on only as the new version written into it: when ga_update is
+    # entered, an average an earlier call of the same thread handed it is
+    # alive only as an array of a version a module still reads.  Those are
+    # the snapshots (live and stashed versions) of the pipeline workers
+    # whose slots the thread runs, and in a replay each module's live
+    # version, the last one returned per module.  Each module of
+    # run_parallel is a thread, the other runners' modules take turns on one
+    refs, wrong, workers, versions = {}, [], {}, []
+    process_slot, ga_update = scheduler.ModuleWorker.process_slot, \
+        scheduler.ga_update
+    modules = 1 if runner is sync_ga_sgd else K
 
-    def watched(*args):
-        mine = refs.setdefault(threading.get_ident(), [])
-        alive.extend(ref for ref in mine if ref() is not None)
-        out = ga_update(*args)
-        mine.extend(weakref.ref(g) for g in out[2] if g.size)
+    def slot(worker, *args):
+        workers.setdefault(threading.get_ident(), set()).add(worker)
+        return process_slot(worker, *args)
+
+    def read(me):
+        if me in workers:
+            return {id(p) for w in workers[me]
+                    for params in w.snapshots.values() for p in params}
+        return {id(ref()) for version in versions[-modules:]
+                for ref in version if ref() is not None}
+
+    def watched(params, avg, *args):
+        me = threading.get_ident()
+        mine = refs.setdefault(me, [])
+        reads = read(me)
+        wrong.extend(ref for ref in mine if ref() is not None
+                     and id(ref()) not in reads)
+        out = ga_update(params, avg, *args)
+        mine.extend(weakref.ref(g) for g in avg if g.size)
+        versions.append([weakref.ref(p) for p in out[0] if p.size])
         return out
 
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", slot)
     monkeypatch.setattr(scheduler, "ga_update", watched)
     monkeypatch.setattr(oracle, "ga_update", watched)
     cfg, ds = spiral_case(K, 2, S=4)
     assert runner(cfg, ds).S == 4
     assert sum(map(len, refs.values())) == 4 * 4  # S times 4 affine layers
-    assert alive == []
+    assert wrong == []
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel, sync_ga_sgd,
+                                    delayed_replay])
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("sgd", [SgdConfig(), SgdConfig(0.9, 1e-3)],
+                         ids=["plain", "momentum-decay"])
+def test_a_new_version_is_written_into_its_average(runner, record, sgd,
+                                                   spiral_case, monkeypatch):
+    # the update takes its average's arrays over: each new version's
+    # arrays are the average's, and with record_grads the module records
+    # a copy taken before the update, the bits of the average itself;
+    # an average and the record made of it share a thread
+    local, versions, records = threading.local(), [], []
+    ga_update, worker_update = scheduler.ga_update, scheduler.WorkerUpdate
+
+    class Accumulator(optimizer.Accumulator):
+        __slots__ = ()
+
+        def average(self):
+            avg = super().average()
+            local.average = [g.copy() for g in avg]
+            return avg
+
+    def update(params, avg, *args):
+        out = ga_update(params, avg, *args)
+        versions.append(all(p is g for p, g in zip(out[0], avg) if p.size))
+        return out
+
+    def recorded(sumsq, slots, params, grads, losses):
+        if record:
+            fresh = local.average
+            records.append(len(grads) == len(fresh) and all(
+                np.array_equal(g.view(np.int64), f.view(np.int64))
+                for g, f in zip(grads, fresh)))
+        else:
+            records.append(grads is None)
+        return worker_update(sumsq, slots, params, grads, losses)
+
+    for mod in (scheduler, oracle):
+        monkeypatch.setattr(mod, "Accumulator", Accumulator)
+        monkeypatch.setattr(mod, "ga_update", update)
+        monkeypatch.setattr(mod, "WorkerUpdate", recorded)
+    cfg, ds = spiral_case(3, 2, S=4, sgd=sgd, record_grads=record)
+    assert runner(cfg, ds).S == 4
+    modules = 1 if runner is sync_ga_sgd else 3
+    assert len(versions) == len(records) == modules * 4
+    assert all(versions) and all(records)
 
 
 @pytest.mark.parametrize("runner", [run_clocked, run_parallel])
@@ -235,13 +305,15 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
                                                         spiral_case,
                                                         monkeypatch):
     # when ga_update is entered, the slot's backward is over: of the
-    # parameter gradients layer_backward returned only those the open
-    # accumulator adopted as its sums (one per layer) are alive, the
-    # module holds only its live version and its stashed batches'
-    # versions, and of this slot's layer outputs only the last and the
-    # stashed ones are alive; each module of run_parallel is a thread, so
-    # the slot's worker and outputs are kept per thread, and the
-    # gradients per module, since run_clocked runs every module in one
+    # parameter gradients layer_backward returned only those the
+    # accumulator adopted as its sums (one per layer), which are now the
+    # average handed to the update, and those an earlier update wrote a
+    # live or stashed version into are alive, the module holds only its
+    # live version and its stashed batches' versions, and of this slot's
+    # layer outputs only the last and the stashed ones are alive; each
+    # module of run_parallel is a thread, so the slot's worker and outputs
+    # are kept per thread, and the gradients per module, since run_clocked
+    # runs every module in one
     local, wrong, updates = threading.local(), [], []
     versions = {}  # (module, version) -> weak reference to its first array
     grads = {}  # module -> weak references to its parameter gradients
@@ -269,9 +341,10 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
     def update(*args):
         w = local.worker
         updates.append(w.k)
-        sums = {id(a) for a in args[1]._sums or ()}
+        held = {id(a) for a in args[1]} | {
+            id(a) for params in w.snapshots.values() for a in params}
         live = {id(ref()) for ref in grads.get(w.k, ()) if ref() is not None}
-        if not live <= sums:
+        if not live <= held:
             wrong.append((w.k, w.version, "parameter gradient"))
         alive = {v for (k, v), ref in versions.items()
                  if k == w.k and ref() is not None}
@@ -366,23 +439,21 @@ def test_trace_slot_lists_hold_no_spare_capacity(runner, M, spiral_case):
 def test_an_accumulator_dies_with_its_update(runner, spiral_case,
                                              monkeypatch):
     # each update group has its own accumulator: by the time any module
-    # updates, every accumulator an earlier update consumed is gone
+    # averages a group for its update, every accumulator an earlier update
+    # consumed is gone
     cfg, ds = spiral_case(3, 2, S=6)
     consumed = []
 
     class Accumulator(optimizer.Accumulator):
         __slots__ = ("__weakref__",)
 
-    def wrap(update):
-        def recorded(params, acc, *args):
+        def average(self):
             assert all(ref() is None for ref in consumed)
-            consumed.append(weakref.ref(acc))
-            return update(params, acc, *args)
-        return recorded
+            consumed.append(weakref.ref(self))
+            return super().average()
 
     for mod in (scheduler, oracle):
         monkeypatch.setattr(mod, "Accumulator", Accumulator)
-        monkeypatch.setattr(mod, "ga_update", wrap(mod.ga_update))
     assert runner(cfg, ds).S == 6
     assert len(consumed) == 3 * 6
 
