@@ -133,16 +133,19 @@ def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout,
 
     param_grad uses the same flat packing as params; a parameterless layer
     returns a shared read-only empty array.  The relu derivative at
-    exactly 0 is taken to be 0.  With input_grad false an affine layer
-    skips its input gradient and returns None for it.
+    exactly 0 is taken to be 0.  params are read only for the input
+    gradient: with input_grad false an affine layer skips it, returns
+    None for it and reads no params, which may then be None.
     """
     if spec.kind == AFFINE:
-        grad = np.empty(params.size)  # packed like params, filled in place
+        grad = np.empty(spec.param_count)  # packed like params, in place
         gw, gb = _unpack_affine(spec, grad)
         np.matmul(gout.T, intermediate, out=gw)
         gout.sum(axis=0, out=gb)
+        if not input_grad:
+            return grad, None
         w, _ = _unpack_affine(spec, params)
-        return grad, gout @ w if input_grad else None
+        return grad, gout @ w
     if spec.kind == TANH:  # gout * (1 - y * y) in one fresh array
         d = np.multiply(intermediate, intermediate)
         return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, out=d), out=d)

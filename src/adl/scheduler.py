@@ -16,11 +16,15 @@ floor(t / M)  everywhere, which is what makes the delayed-gradient
 replay oracle exact.
 
 A module may update between a batch's forward and its delayed backward,
-so each stash entry carries the parameter list its forward read.  An
-update writes the new version into its averaged gradient's arrays and
-never mutates an older one, so that reference is the snapshot: an
-unrecorded version lives exactly as long as it is current or a stashed
-batch reads it.
+so each stash entry carries the weights its backward reads of the
+version its forward read.  A backward reads a layer's weights only for
+its input gradient, which the network's first layer does not form, so
+module 1 stashes None for that layer and the other modules the live
+parameter list itself, each list built once per version.  An update
+writes the new version into its averaged gradient's arrays and never
+mutates an older one, so that reference is the snapshot: an unrecorded
+version lives exactly as long as it is current or a stashed batch reads
+it, and module 1's first layer only while it is current.
 
 A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
@@ -183,7 +187,7 @@ class ModuleWorker:
         self.stash_end = cfg.total_batches - self.two_delta
         layers = cfg.partition.layers_of(k)
         self.specs = [cfg.layers[i] for i in layers]
-        self.params = [states[i].params for i in layers]
+        self._set_params([states[i].params for i in layers])
         self.velocity = None
         self.version = 0
         self.stash = deque()  # FIFO of (batch, intermediates, version, params)
@@ -192,9 +196,17 @@ class ModuleWorker:
         self.update_records = []
         self._losses = []  # module K: the open group's batch losses
 
+    def _set_params(self, params):
+        """Make params the live version, and build once what a stashed
+        batch keeps of it: the weights its backward reads.  Module 1's
+        first layer forms no input gradient, so it keeps None there."""
+        self.params = params
+        self._stashed = params if self.k > 1 else [None, *params[1:]]
+
     @property
     def snapshots(self):
-        """{version: params} of the live version and each stashed batch's."""
+        """{version: params} of the live version and each stashed batch's,
+        the stashed lists as kept: None for module 1's first layer."""
         return {**{v: p for *_, v, p in self.stash}, self.version: self.params}
 
     def process_slot(self, u: int, x, target, gout):
@@ -216,7 +228,7 @@ class ModuleWorker:
             self._losses.append(loss)
         # stash what the delayed backward reads, if one will
         if u < self.stash_end:
-            self.stash.append((u, inters, self.version, self.params))
+            self.stash.append((u, inters, self.version, self._stashed))
             if len(self.stash) > self.two_delta + 1:
                 raise ProtocolError(
                     f"stash occupancy {len(self.stash)} exceeds "
@@ -243,9 +255,10 @@ class ModuleWorker:
             avg = acc.average()
             sumsq = grads_sumsq(avg)
             recorded = [g.copy() for g in avg] if cfg.record_grads else None
-            self.params, self.velocity = ga_update(
+            params, self.velocity = ga_update(
                 self.params, avg, lr_at(cfg.schedule, self.version),
                 cfg.sgd, self.velocity)
+            self._set_params(params)
             # _losses is empty outside module K, and tuple() of it is ()
             self.update_records.append(WorkerUpdate(
                 sumsq, list(acc.slots),  # exact size: the trace keeps it

@@ -89,6 +89,24 @@ def test_affine_kernels_match_the_plain_expressions(batch, n_in, n_out,
         assert xg is None
 
 
+@pytest.mark.parametrize("batch,n_in,n_out", [(1, 1, 1), (5, 3, 4),
+                                              (64, 256, 256)])
+def test_an_affine_backward_without_input_gradient_reads_no_params(
+        batch, n_in, n_out):
+    # the stash keeps None for a layer whose input gradient has no reader:
+    # the parameter gradient does not depend on the weights, bit for bit
+    spec = net.affine(n_in, n_out)
+    state = net.init_states([spec], seed=6)[0].params
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(batch, n_in))
+    gout = rng.normal(size=(batch, n_out))
+    pg, xg = net.layer_backward(spec, None, x, gout, False)
+    assert xg is None
+    for input_grad in (True, False):
+        want, _ = net.layer_backward(spec, state, x, gout, input_grad)
+        assert pg.shape == want.shape and pg.tobytes() == want.tobytes()
+
+
 def test_identity_net_zero_loss():
     specs = [net.identity(3)]
     states = [np.zeros(specs[0].param_count)]

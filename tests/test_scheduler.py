@@ -168,37 +168,83 @@ def test_snapshot_ring_does_not_depend_on_recording(K, M, record, spiral_case,
 
 
 @pytest.mark.parametrize("runner", [run_clocked, run_parallel])
+@pytest.mark.parametrize("K,M", itertools.product((2, 3, 4), (1, 2, 3)))
+def test_module_1_stashes_no_weights_for_the_first_layer(K, M, runner,
+                                                         spiral_case,
+                                                         monkeypatch):
+    # the first layer forms no input gradient, so module 1's stash entries
+    # hold None for it and every other layer's weights; the other modules
+    # stash every layer's weights.  One list per version serves all its
+    # entries, the live parameter list itself outside module 1, and the
+    # versions held still peak at ceil(2(K-k)/M) + 1
+    high, wrong, seen = {}, [], set()
+    process_slot = scheduler.ModuleWorker.process_slot
+
+    def checked(worker, u, *args):
+        out = process_slot(worker, u, *args)
+        k = worker.k
+        high[k] = max(high.get(k, 0), len(worker.snapshots))
+        lists = {}
+        for _, _, v, params in worker.stash:
+            seen.add(k)
+            nones = [i for i, p in enumerate(params) if p is None]
+            if nones != ([0] if k == 1 else []):
+                wrong.append((k, u, v, nones))
+            if lists.setdefault(v, params) is not params:
+                wrong.append((k, u, v, "a second list"))
+        if k > 1 and lists.get(worker.version, worker.params) is not \
+                worker.params:
+            wrong.append((k, u, "not the live list"))
+        return out
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", checked)
+    cfg, ds = spiral_case(K, M, S=12)
+    assert runner(cfg, ds).S == 12
+    assert wrong == [] and seen == set(range(1, K))  # module K keeps none
+    assert high == {k: math.ceil(2 * (K - k) / M) + 1
+                    for k in range(1, K + 1)}
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel])
 @pytest.mark.parametrize("K,M", itertools.product((2, 3, 4), (1, 2, 3, 4)))
 def test_a_version_is_freed_after_its_last_reader(K, M, runner, spiral_case,
                                                   monkeypatch):
-    # after slot u module k keeps alive its live version and the versions
-    # of the batches b in (u - 2(K-k), u] whose backward is still to come,
-    # and nothing else; a weak reference to each version's first non-empty
-    # parameter array tells which versions are still alive
+    # after slot u each layer with parameters of module k keeps alive its
+    # live version and the versions of the batches b in (u - 2(K-k), u]
+    # whose backward is still to come, and nothing else; module 1's first
+    # layer, whose backward reads no weights, keeps only its live version.
+    # A weak reference to each version of each such layer's array tells
+    # which versions are still alive
     S = 6
     refs = {k: {} for k in range(1, K + 1)}  # one dict per module thread
     wrong, process_slot = [], scheduler.ModuleWorker.process_slot
 
     def watch(worker):
-        first = next(p for p in worker.params if p.size)
-        refs[worker.k].setdefault(worker.version, weakref.ref(first))
+        for i, p in enumerate(worker.params):
+            if p.size:
+                refs[worker.k].setdefault((i, worker.version), weakref.ref(p))
 
     def checked(worker, u, *args):
         watch(worker)
         out = process_slot(worker, u, *args)
         watch(worker)
         k, d = worker.k, 2 * (K - worker.k)
-        alive = {v for v, ref in refs[k].items() if ref() is not None}
         stashed = range(max(0, u - d + 1), min(u + 1, M * S - d))
-        want = {b // M for b in stashed} | {worker.version}
-        if alive != want:
-            wrong.append((k, u, sorted(alive), sorted(want)))
+        for layer in {i for i, _ in refs[k]}:
+            alive = {v for (i, v), ref in refs[k].items()
+                     if i == layer and ref() is not None}
+            want = {worker.version}
+            if (k, layer) != (1, 0):
+                want |= {b // M for b in stashed}
+            if alive != want:
+                wrong.append((k, layer, u, sorted(alive), sorted(want)))
         return out
 
     monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", checked)
     cfg, ds = spiral_case(K, M, S=S)
     assert runner(cfg, ds).S == S
     assert all(refs.values())
+    assert (0, 0) in refs[1]  # the first layer has weights to track
     assert wrong == []
 
 
@@ -308,22 +354,25 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
     # parameter gradients layer_backward returned only those the
     # accumulator adopted as its sums (one per layer), which are now the
     # average handed to the update, and those an earlier update wrote a
-    # live or stashed version into are alive, the module holds only its
-    # live version and its stashed batches' versions, and of this slot's
-    # layer outputs only the last and the stashed ones are alive; each
-    # module of run_parallel is a thread, so the slot's worker and outputs
-    # are kept per thread, and the gradients per module, since run_clocked
-    # runs every module in one
+    # live or stashed version into are alive, each layer with parameters
+    # holds only its live version and its stashed batches' versions
+    # (module 1's first layer, whose backward reads no weights, only its
+    # live version), and of this slot's layer outputs only the last and
+    # the stashed ones are alive; each module of run_parallel is a thread,
+    # so the slot's worker and outputs are kept per thread, and the
+    # gradients per module, since run_clocked runs every module in one
     local, wrong, updates = threading.local(), [], []
-    versions = {}  # (module, version) -> weak reference to its first array
+    versions = {}  # (module, layer, version) -> weak reference to its array
     grads = {}  # module -> weak references to its parameter gradients
     process_slot = scheduler.ModuleWorker.process_slot
     forward, backward = scheduler.layer_forward, scheduler.layer_backward
     ga_update = scheduler.ga_update
 
     def slot(worker, *args):
-        first = next(p for p in worker.params if p.size)
-        versions.setdefault((worker.k, worker.version), weakref.ref(first))
+        for i, p in enumerate(worker.params):
+            if p.size:
+                versions.setdefault((worker.k, i, worker.version),
+                                    weakref.ref(p))
         local.worker, local.outputs = worker, []
         return process_slot(worker, *args)
 
@@ -346,10 +395,14 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
         live = {id(ref()) for ref in grads.get(w.k, ()) if ref() is not None}
         if not live <= held:
             wrong.append((w.k, w.version, "parameter gradient"))
-        alive = {v for (k, v), ref in versions.items()
-                 if k == w.k and ref() is not None}
-        if alive != {w.version} | {v for _, _, v, _ in w.stash}:
-            wrong.append((w.k, w.version, "versions", sorted(alive)))
+        stashed = {v for _, _, v, _ in w.stash}
+        for layer in {i for k, i, _ in versions if k == w.k}:
+            alive = {v for (k, i, v), ref in versions.items()
+                     if (k, i) == (w.k, layer) and ref() is not None}
+            want = {w.version} | (set() if (w.k, layer) == (1, 0) else stashed)
+            if alive != want:
+                wrong.append((w.k, layer, w.version, "versions",
+                              sorted(alive)))
         kept = {id(a) for _, inters, _, _ in w.stash for a in inters}
         outputs = [ref() for ref in local.outputs[:-1]]
         if any(a is not None and id(a) not in kept for a in outputs):
@@ -363,7 +416,9 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
     monkeypatch.setattr(scheduler, "ga_update", update)
     cfg, ds = spiral_case(K, M, S=4)
     assert runner(cfg, ds).S == 4
-    assert len(updates) == len(versions) == K * 4  # versions 0..S-1 read
+    # versions 0..S-1 read, module 1's first layer among the layers tracked
+    assert len(updates) == len({(k, v) for k, _, v in versions}) == K * 4
+    assert (1, 0, 0) in versions
     assert wrong == []
 
 
