@@ -27,10 +27,9 @@ import numpy as np
 from . import data as data_mod
 from . import net
 from .errors import AdlError, ConfigError, check_finite_nonneg, check_pos
-from .optimizer import (ConstantLr, Harmonic, SgdConfig, StepDecay,
-                        scaled_base_lr)
+from .optimizer import ConstantLr, Harmonic, SgdConfig, StepDecay
 from .oracle import delayed_replay, sync_ga_sgd
-from .partition import Partition, partition_by_params, partition_even
+from .partition import Partition, partition_by_cost, partition_even
 from .scheduler import (TrainConfig, _check_counts, _check_dataset,
                         run_clocked, run_parallel)
 from .staleness import (averaged_los, averaged_los_sum, staleness_factor,
@@ -164,7 +163,7 @@ def _build_partition(conf, num_layers, specs) -> Partition:
         return Partition((0, *interior, num_layers))
     if strategy == "even":
         return partition_even(num_layers, K)
-    return partition_by_params(specs, K)
+    return partition_by_cost([s.param_count for s in specs], K)
 
 
 def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
@@ -174,7 +173,8 @@ def _build_schedule(conf, dataset, M, batch_size, S, K, warn):
     def base_lr():
         if lr is None:
             raise ConfigError(f"schedule {name!r} needs an lr value")
-        return scaled_base_lr(batch_size, M) if lr == "auto" else lr
+        # auto: the linear-scaling rule for the effective batch b*M
+        return 0.1 * batch_size * M / 256 if lr == "auto" else lr
 
     if name == "constant":
         return ConstantLr(base_lr())

@@ -127,31 +127,41 @@ def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
     return x, x  # identity
 
 
-def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout,
-                   input_grad: bool = True):
+def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout):
     """Return (param_grad, input_grad) given the upstream gradient gout.
 
     param_grad uses the same flat packing as params; a parameterless layer
     returns a shared read-only empty array.  The relu derivative at
     exactly 0 is taken to be 0.  params are read only for the input
-    gradient: with input_grad false an affine layer skips it, returns
-    None for it and reads no params, which may then be None.
+    gradient: handed None for them, a layer forms none, returns None for
+    it and, without parameters, reads no gout.
     """
     if spec.kind == AFFINE:
         grad = np.empty(spec.param_count)  # packed like params, in place
         gw, gb = _unpack_affine(spec, grad)
         np.matmul(gout.T, intermediate, out=gw)
         gout.sum(axis=0, out=gb)
-        if not input_grad:
+        if params is None:
             return grad, None
         w, _ = _unpack_affine(spec, params)
         return grad, gout @ w
+    if params is None:
+        return _NO_GRAD, None
     if spec.kind == TANH:  # gout * (1 - y * y) in one fresh array
         d = np.multiply(intermediate, intermediate)
         return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, out=d), out=d)
     if spec.kind == RELU:  # intermediate is the output y: y > 0 iff x > 0
         return _NO_GRAD, gout * (intermediate > 0.0)
     return _NO_GRAD, gout  # identity
+
+
+def first_module_params(specs, params) -> list:
+    """Module 1's backward list: None up to and including the first layer
+    with parameters (every layer, if none has any), whose input gradients
+    nothing reads, then params."""
+    first = next((i for i, s in enumerate(specs) if s.param_count),
+                 len(specs) - 1)
+    return [None] * (first + 1) + params[first + 1:]
 
 
 def loss_and_grad(kind: str, pred: np.ndarray, target):
@@ -200,17 +210,16 @@ def net_forward(specs, params, x, loss_kind: str, target):
     return loss, NetContext(intermediates, h, dpred)
 
 
-def net_backward(specs, params, ctx: NetContext, input_grad: bool = True):
+def net_backward(specs, params, ctx: NetContext):
     """Backpropagate ctx.dpred through the whole network.
 
     Returns (param_grads, input_grad) where param_grads is one flat array
-    per layer, in layer order; input_grad false is passed to layer 0.
+    per layer, in layer order; a layer handed None for params forms no
+    input gradient (see layer_backward).
     """
     g = ctx.dpred
     param_grads = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
         param_grads[i], g = layer_backward(specs[i], params[i],
-                                           ctx.intermediates[i], g,
-                                           i > 0 or input_grad)
+                                           ctx.intermediates[i], g)
     return param_grads, g
-

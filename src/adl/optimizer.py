@@ -222,11 +222,6 @@ class StepDecay:
                               f"{self.milestones_epochs}")
 
 
-def scaled_base_lr(batch_size: int, ga_steps: int) -> float:
-    """Linear-scaling rule for the effective batch b*M: 0.1 * b*M / 256."""
-    return 0.1 * batch_size * ga_steps / 256
-
-
 def lr_at(schedule, s: int) -> float:
     """Learning rate used by update s+1 (0-based update counter)."""
     if s < 0:

@@ -37,7 +37,7 @@ import time
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .net import init_states, net_backward, net_forward
+from .net import first_module_params, init_states, net_backward, net_forward
 from .optimizer import Accumulator, ga_update, grads_sumsq, lr_at
 from .partition import Partition
 from .scheduler import TrainConfig, WorkerUpdate, _assemble, _check_dataset
@@ -57,8 +57,9 @@ def sync_ga_sgd(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     """Recompute the pipeline's update sequence from its defining formula,
     with one forward/backward pass per batch on params, the live version
-    of the whole network; module k steps its slice of it.  The replay
-    sets wall_time itself: it covers the replay and building its records."""
+    of the whole network, handed to the backward as first_module_params;
+    module k steps its slice of it.  The replay sets wall_time itself: it
+    covers the replay and building its records."""
     _check_dataset(cfg, dataset)
     K, M, S = cfg.K, cfg.ga_steps, cfg.updates
     params = [st.params for st in
@@ -81,7 +82,8 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
         the update that reads it.  Returns the loss."""
         x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
-        grads, _ = net_backward(cfg.layers, params, ctx, False)
+        grads, _ = net_backward(cfg.layers,
+                                first_module_params(cfg.layers, params), ctx)
         del x, y, ctx  # the pass's arrays die before any sums start
         for k, sl in slices.items():
             u = (t + 2 * (K - k)) // M

@@ -91,8 +91,3 @@ def partition_by_cost(costs, K: int) -> Partition:
                 i, r = e, r - 1
                 break
     return Partition(tuple(bounds))
-
-
-def partition_by_params(specs, K: int) -> Partition:
-    """Cost-balanced split using parameter counts as the cost model."""
-    return partition_by_cost([s.param_count for s in specs], K)

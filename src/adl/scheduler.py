@@ -18,13 +18,13 @@ replay oracle exact.
 A module may update between a batch's forward and its delayed backward,
 so each stash entry carries the weights its backward reads of the
 version its forward read.  A backward reads a layer's weights only for
-its input gradient, which the network's first layer does not form, so
-module 1 stashes None for that layer and the other modules the live
-parameter list itself, each list built once per version.  An update
+its input gradient, which module 1 sends nowhere, so module 1 stashes
+first_module_params (None up to its first layer with parameters), the
+other modules the live list, each built once per version.  An update
 writes the new version into its averaged gradient's arrays and never
 mutates an older one, so that reference is the snapshot: an unrecorded
 version lives exactly as long as it is current or a stashed batch reads
-it, and module 1's first layer only while it is current.
+it, and module 1's first layer with parameters only while current.
 
 A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
@@ -63,8 +63,8 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigError, ProtocolError, check_finite_nonneg, check_int
-from .net import (LOSS_KINDS, MSE, init_states, layer_backward,
-                  layer_forward, loss_and_grad)
+from .net import (LOSS_KINDS, MSE, first_module_params, init_states,
+                  layer_backward, layer_forward, loss_and_grad)
 from .optimizer import (Accumulator, SgdConfig, ga_update, global_grad_norm,
                         grads_sumsq, lr_at)
 from .partition import Partition
@@ -198,15 +198,17 @@ class ModuleWorker:
 
     def _set_params(self, params):
         """Make params the live version, and build once what a stashed
-        batch keeps of it: the weights its backward reads.  Module 1's
-        first layer forms no input gradient, so it keeps None there."""
+        batch keeps of it: the weights its backward reads, the live list
+        itself outside module 1 and first_module_params in module 1, which
+        sends no input gradient."""
         self.params = params
-        self._stashed = params if self.k > 1 else [None, *params[1:]]
+        self._stashed = params if self.k > 1 else first_module_params(
+            self.specs, params)
 
     @property
     def snapshots(self):
         """{version: params} of the live version and each stashed batch's,
-        the stashed lists as kept: None for module 1's first layer."""
+        the stashed lists as kept (first_module_params in module 1)."""
         return {**{v: p for *_, v, p in self.stash}, self.version: self.params}
 
     def process_slot(self, u: int, x, target, gout):
@@ -244,9 +246,8 @@ class ModuleWorker:
             grads = [None] * n
             g = h if self.is_last else gout
             for i in range(n - 1, -1, -1):
-                # module 1's input gradient has no reader
                 grads[i], g = layer_backward(specs[i], sparams[i], inters[i],
-                                             g, i > 0 or self.k > 1)
+                                             g)
             self.acc.add(grads, t_b, version)
             del sparams, grads
         del inters  # the backward's arrays are dead before the update

@@ -156,15 +156,20 @@ def read_csv(path) -> RunTrace:
                 f"{path}: row {line!r} is slot j={j} of module {k}, "
                 f"expected j={len(slots)}")
         slots.append(Slot(j, batch, version))
+    K, M, S = trace.K, trace.M, meta.get("updates")
+    disagrees = ComparisonError(f"{path}: the body disagrees with the "
+                                f"header K={K}, M={M}, updates={S}")
+    # K*M*updates rows, checked before anything is sized by the header
+    if not (K >= 1 and M >= 1 and S is not None
+            and len(body) - 1 == K * M * S):
+        raise disagrees
     # update s = 0..updates-1 holds modules 1..K with M slots each
-    modules = set(range(1, trace.K + 1))
+    modules = set(range(1, K + 1))
     sizes = [len(v) for rec in trace.updates for v in rec.slots.values()]
-    if trace.S != meta.get("updates") or sizes.count(trace.M) != len(sizes) \
-            or any(rec.s != i or rec.slots.keys() != modules
-                   for i, rec in enumerate(trace.updates)):
-        raise ComparisonError(
-            f"{path}: the body disagrees with the header K={trace.K}, "
-            f"M={trace.M}, updates={meta.get('updates')}")
+    if trace.S != S or sizes.count(M) != len(sizes) or any(
+            rec.s != i or rec.slots.keys() != modules
+            for i, rec in enumerate(trace.updates)):
+        raise disagrees
     return trace
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, exit codes, files on disk."""
 import configparser
+import time
 
 import pytest
 
@@ -296,10 +297,25 @@ def test_partition_defaults_to_one_module_and_cost_splits(tmp_path, capsys):
                      partition={"strategy": "cost"})
     assert main(["run", str(cost)]) == 0
     assert "modules: 2\n" in capsys.readouterr().out
-    for path, bounds in ((cost, (0, 1, 3)), (whole, (0, 3))):
+    # affine:2:2 costs 6 and tanh:2 none: the optimum is [6] | [0, 6, 0]
+    cost4 = write_cfg(tmp_path, "cost4.ini", partition={"strategy": "cost"},
+                      model={"layers": "affine:2:2 tanh:2 affine:2:2 tanh:2"})
+    for path, bounds in ((cost, (0, 1, 3)), (whole, (0, 3)),
+                         (cost4, (0, 1, 4))):
         parser = configparser.ConfigParser()
         parser.read(path)
         assert build_run(parser, print)[1].partition.bounds == bounds
+
+
+def test_auto_lr_is_the_linear_scaling_rule(tmp_path):
+    # lr = auto is 0.1 * b*M / 256, bit for bit
+    for batch_size, M, want in ((32, 2, 0.1 * 64 / 256), (256, 1, 0.1)):
+        cfg = write_cfg(tmp_path, optimizer={"lr": "auto", "ga_steps": M,
+                                             "batch_size": batch_size})
+        parser = configparser.ConfigParser()
+        parser.read(cfg)
+        lr = build_run(parser, print)[1].schedule.value
+        assert lr == want and lr == 0.1 * batch_size * M / 256
 
 
 def test_staleness_table_values(capsys):
@@ -466,3 +482,20 @@ def test_compare_malformed_trace_exit_2(tmp_path, capsys, old, new):
     bad.write_bytes(text.replace(old, new).encode("latin-1"))
     assert main(["compare", str(bad), str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_checks_the_row_count_before_sizing_by_the_header(
+        tmp_path, capsys):
+    # a forged K with a one-row body: nothing is sized by K before the
+    # body's K*M*updates rows are counted, so it exits 2 at once
+    assert main(["run", str(write_cfg(tmp_path))]) == 0
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    forged = tmp_path / "forged.csv"
+    forged.write_text("\n".join(lines[:body[0] + 2]).replace(
+        "# K=2", "# K=1000000000000") + "\n")
+    t0 = time.perf_counter()
+    assert main(["compare", str(forged), str(forged)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "the body disagrees with the header K=1000000000000" in err

@@ -80,7 +80,8 @@ def test_affine_kernels_match_the_plain_expressions(batch, n_in, n_out,
     gout = rng.normal(size=(batch, n_out))
     y, inter = net.layer_forward(spec, state, x)
     assert y.tobytes() == (x @ w.T + b).tobytes()
-    pg, xg = net.layer_backward(spec, state, inter, gout, input_grad)
+    pg, xg = net.layer_backward(spec, state if input_grad else None, inter,
+                                gout)
     want = np.concatenate([(gout.T @ x).ravel(), gout.sum(axis=0)])
     assert pg.shape == want.shape and pg.tobytes() == want.tobytes()
     if input_grad:
@@ -100,10 +101,11 @@ def test_an_affine_backward_without_input_gradient_reads_no_params(
     rng = np.random.default_rng(7)
     x = rng.normal(size=(batch, n_in))
     gout = rng.normal(size=(batch, n_out))
-    pg, xg = net.layer_backward(spec, None, x, gout, False)
+    pg, xg = net.layer_backward(spec, None, x, gout)
     assert xg is None
     for input_grad in (True, False):
-        want, _ = net.layer_backward(spec, state, x, gout, input_grad)
+        want, _ = net.layer_backward(spec, state if input_grad else None, x,
+                                     gout)
         assert pg.shape == want.shape and pg.tobytes() == want.tobytes()
 
 
@@ -179,7 +181,8 @@ def test_net_backward_can_skip_the_input_gradient(seed, random_net):
     specs, states, x, loss, target = random_net(seed)
     _, ctx = net.net_forward(specs, states, x, loss, target)
     full, _ = net.net_backward(specs, states, ctx)
-    grads, xgrad = net.net_backward(specs, states, ctx, False)
+    grads, xgrad = net.net_backward(
+        specs, net.first_module_params(specs, states), ctx)
     assert xgrad is None  # layer 0 of every random net is affine
     for a, b in zip(grads, full):
         np.testing.assert_array_equal(a, b)

@@ -13,7 +13,7 @@ from adl import data, net
 from adl.errors import DomainError, ProtocolError
 from adl.optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig,
                            Slot, StepDecay, ga_update, global_grad_norm,
-                           grads_sumsq, lr_at, scaled_base_lr)
+                           grads_sumsq, lr_at)
 from adl.partition import Partition
 from adl.scheduler import TrainConfig, run_clocked
 
@@ -337,11 +337,6 @@ def test_sgd_config_validation():
 
 
 # --- schedules ---------------------------------------------------------------
-
-def test_scaled_base_lr_rule():
-    assert scaled_base_lr(32, 2) == 0.1 * 64 / 256
-    assert scaled_base_lr(256, 1) == 0.1
-
 
 def test_harmonic_schedule():
     h = Harmonic(1.0)

@@ -85,8 +85,9 @@ def test_four_runners_agree_over_every_split(M, sgd):
 @st.composite
 def pipelines(draw):
     """A random (TrainConfig, Dataset): a stack of up to 3 affine layers,
-    each followed by up to 2 tanh, relu or identity layers (and identity
-    layers to make up K), split into K <= 5 contiguous modules, with either loss, any schedule, rates that
+    each followed by up to 2 tanh, relu or identity layers, behind an
+    optional leading one (and identity layers to make up K), split into
+    K <= 5 contiguous modules, with either loss, any schedule, rates that
     diverge, and runs shorter than the pipeline fill."""
     loss = draw(st.sampled_from([net.MSE, net.SOFTMAX_CE]))
     K = draw(st.integers(1, 5))
@@ -95,12 +96,13 @@ def pipelines(draw):
                          max_size=n_affine + 1))
     if loss == net.SOFTMAX_CE:
         dims[-1] = max(dims[-1], 2)
-    layers = []
+    kinds = [net.TANH, net.RELU, net.IDENTITY]
+    layers = [net.LayerSpec(kind, dims[0], dims[0])  # parameterless first
+              for kind in draw(st.lists(st.sampled_from(kinds), max_size=1))]
     for d_in, d_out in zip(dims, dims[1:]):
         layers.append(net.affine(d_in, d_out))
-        kinds = draw(st.lists(st.sampled_from([net.TANH, net.RELU,
-                                               net.IDENTITY]), max_size=2))
-        layers.extend(net.LayerSpec(kind, d_out, d_out) for kind in kinds)
+        layers.extend(net.LayerSpec(kind, d_out, d_out) for kind in
+                      draw(st.lists(st.sampled_from(kinds), max_size=2)))
     layers += [net.identity(dims[-1])] * (K - len(layers))  # K modules
     cuts = draw(st.permutations(range(1, len(layers))))[:K - 1]
     M = draw(st.integers(1, 4))

@@ -18,7 +18,7 @@ import pytest
 from adl import net
 from adl.errors import ConfigError
 from adl.optimizer import ConstantLr, SgdConfig
-from adl.partition import partition_even
+from adl.partition import Partition, partition_even
 from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.scheduler import (TrainConfig, run_clocked, run_parallel,
                            schedule_position)
@@ -203,6 +203,75 @@ def test_module_1_stashes_no_weights_for_the_first_layer(K, M, runner,
     assert wrong == [] and seen == set(range(1, K))  # module K keeps none
     assert high == {k: math.ceil(2 * (K - k) / M) + 1
                     for k in range(1, K + 1)}
+
+
+# networks behind a parameterless first layer, split so that module 1
+# holds its first affine layer alone, a layer with weights above it too,
+# or no layer with parameters at all; first is the last layer module 1
+# hands None
+TANH_FIRST = [net.tanh(2), net.affine(2, 16), net.tanh(16), net.affine(16, 2)]
+TANH_FIRST_5 = TANH_FIRST[:3] + [net.affine(16, 16), net.affine(16, 2)]
+
+
+@pytest.mark.parametrize("runner", [run_clocked, run_parallel])
+@pytest.mark.parametrize("M", (1, 2))
+@pytest.mark.parametrize("specs,bounds,first", [
+    (TANH_FIRST, (0, 2, 4), 1), (TANH_FIRST_5, (0, 4, 5), 1),
+    (TANH_FIRST_5, (0, 1, 3, 5), 0)])
+def test_module_1_reads_no_weights_up_to_its_first_affine_layer(
+        specs, bounds, first, M, runner, monkeypatch):
+    # module 1 hands its backward None for every layer up to and including
+    # its first with parameters (every layer if it has none), so those
+    # form no input gradient, its stash entries hold None there and its
+    # first affine layer keeps only its live version; the layers above
+    # form one input gradient per backward and keep their stashed versions
+    S, K = 6, len(bounds) - 1
+    local, wrong = threading.local(), []  # one slot's calls per thread
+    formed = [0] * bounds[1]  # module 1's input gradients, by layer
+    refs = {}  # (layer, version) -> weak reference to module 1's array
+    process_slot, backward = (scheduler.ModuleWorker.process_slot,
+                              scheduler.layer_backward)
+
+    def watched_backward(*args):
+        out = backward(*args)
+        local.inputs.append(out[1] is not None)
+        return out
+
+    def watch(worker):
+        for i, p in enumerate(worker.params):
+            if p.size:
+                refs.setdefault((i, worker.version), weakref.ref(p))
+
+    def checked(worker, u, *args):
+        local.inputs = []
+        if worker.k > 1:
+            return process_slot(worker, u, *args)
+        watch(worker)
+        out = process_slot(worker, u, *args)
+        watch(worker)
+        for i, made in enumerate(reversed(local.inputs)):
+            formed[i] += made
+        for _, _, v, params in worker.stash:
+            nones = [i for i, p in enumerate(params) if p is None]
+            if nones != list(range(first + 1)):
+                wrong.append((u, v, nones))
+        stashed = {v for _, _, v, _ in worker.stash}
+        for layer in {i for i, _ in refs}:
+            alive = {v for (i, v), ref in refs.items()
+                     if i == layer and ref() is not None}
+            want = {worker.version} | (set() if layer == first else stashed)
+            if alive != want:
+                wrong.append((u, layer, sorted(alive), sorted(want)))
+        return out
+
+    monkeypatch.setattr(scheduler, "layer_backward", watched_backward)
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", checked)
+    cfg = TrainConfig(specs, Partition(bounds), net.SOFTMAX_CE, M, 8, S,
+                      ConstantLr(0.05), SgdConfig(), seed=0)
+    assert runner(cfg, data.gen_two_spirals(64, 0.0, seed=1)).S == S
+    backwards = M * S - 2 * (K - 1)
+    assert formed == [0] * (first + 1) + [backwards] * (bounds[1] - first - 1)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("runner", [run_clocked, run_parallel])
