@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl import net
+from adl.cli import _build_partition
 from adl.errors import ConfigError
 from adl.partition import Partition, partition_by_cost, partition_even
 
@@ -108,6 +110,15 @@ def test_cost_split_rejects_costs_whose_sum_is_not_finite(costs):
     with pytest.raises(ConfigError, match="layer costs and their sum must "
                                           "be finite"):
         partition_by_cost(costs, 2)
+
+
+def test_partition_by_params_uses_param_counts():
+    # strategy = cost splits by parameter count: affine(4,4) costs 20,
+    # activations cost 0
+    specs = [net.affine(4, 4), net.tanh(4), net.affine(4, 4), net.tanh(4)]
+    conf = {"partition": {"k": 2, "strategy": "cost"}}
+    p = _build_partition(conf, len(specs), specs)
+    assert p.bounds == (0, 1, 4)  # leftmost optimum: [20] | [0, 20, 0]
 
 
 def test_validation():
