@@ -19,7 +19,7 @@ reductions, so repeated evaluation of the same inputs is bit-identical.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,11 @@ class LayerSpec:
     kind: str
     in_dim: int
     out_dim: int
+    # derived from the three above when built: the weight count
+    # out_dim * in_dim and the parameter count, weights plus biases (both
+    # 0 for a parameterless layer)
+    weight_count: int = field(init=False, repr=False, compare=False)
+    param_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -49,12 +54,10 @@ class LayerSpec:
             raise DimensionError("layer dimensions must be positive")
         if self.kind != AFFINE and self.in_dim != self.out_dim:
             raise DimensionError(f"{self.kind} layer must preserve dimension")
-
-    @property
-    def param_count(self) -> int:
-        if self.kind == AFFINE:
-            return self.out_dim * self.in_dim + self.out_dim
-        return 0
+        nw = self.out_dim * self.in_dim if self.kind == AFFINE else 0
+        object.__setattr__(self, "weight_count", nw)
+        object.__setattr__(self, "param_count",
+                           nw + self.out_dim if nw else 0)
 
 
 def affine(in_dim: int, out_dim: int) -> LayerSpec:
@@ -98,31 +101,28 @@ _NO_GRAD = np.zeros(0)
 _NO_GRAD.flags.writeable = False
 
 
-def _unpack_affine(spec: LayerSpec, params: np.ndarray):
-    nw = spec.out_dim * spec.in_dim
-    w = params[:nw].reshape(spec.out_dim, spec.in_dim)
-    b = params[nw:]
-    return w, b
-
-
-def _check_input(spec: LayerSpec, x: np.ndarray):
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
-        raise DimensionError(
-            f"{spec.kind} expects a batch of shape (batch, {spec.in_dim}), "
-            f"got shape {x.shape}")
+def _weights(spec: LayerSpec, params: np.ndarray):
+    """The (out_dim, in_dim) weight matrix at the head of affine params."""
+    return params[:spec.weight_count].reshape(spec.out_dim, spec.in_dim)
 
 
 def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
     """Return (output, intermediate).  The intermediate is whatever the
     backward pass needs so forward never has to be re-run."""
-    _check_input(spec, x)
-    if spec.kind == AFFINE:
-        w, b = _unpack_affine(spec, params)
-        y = x @ w.T
-        y += b
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+        raise DimensionError(
+            f"{spec.kind} expects a batch of shape (batch, {spec.in_dim}), "
+            f"got shape {x.shape}")
+    kind = spec.kind
+    if kind == AFFINE:
+        y = x @ _weights(spec, params).T
+        y += params[spec.weight_count:]
         return y, x
-    if spec.kind in (TANH, RELU):
-        y = np.tanh(x) if spec.kind == TANH else np.maximum(x, 0.0)
+    if kind == TANH:
+        y = np.tanh(x)
+        return y, y
+    if kind == RELU:
+        y = np.maximum(x, 0.0)
         return y, y
     return x, x  # identity
 
@@ -136,21 +136,21 @@ def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout):
     gradient: handed None for them, a layer forms none, returns None for
     it and, without parameters, reads no gout.
     """
-    if spec.kind == AFFINE:
+    kind = spec.kind
+    if kind == AFFINE:
         grad = np.empty(spec.param_count)  # packed like params, in place
-        gw, gb = _unpack_affine(spec, grad)
-        np.matmul(gout.T, intermediate, out=gw)
-        gout.sum(axis=0, out=gb)
+        np.matmul(gout.T, intermediate, out=_weights(spec, grad))
+        # ndarray.sum's own reduction, without its Python wrapper
+        np.add.reduce(gout, 0, out=grad[spec.weight_count:])
         if params is None:
             return grad, None
-        w, _ = _unpack_affine(spec, params)
-        return grad, gout @ w
+        return grad, gout @ _weights(spec, params)
     if params is None:
         return _NO_GRAD, None
-    if spec.kind == TANH:  # gout * (1 - y * y) in one fresh array
+    if kind == TANH:  # gout * (1 - y * y) in one fresh array
         d = np.multiply(intermediate, intermediate)
         return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, out=d), out=d)
-    if spec.kind == RELU:  # intermediate is the output y: y > 0 iff x > 0
+    if kind == RELU:  # intermediate is the output y: y > 0 iff x > 0
         return _NO_GRAD, gout * (intermediate > 0.0)
     return _NO_GRAD, gout  # identity
 
@@ -159,8 +159,9 @@ def first_module_params(specs, params) -> list:
     """Module 1's backward list: None up to and including the first layer
     with parameters (every layer, if none has any), whose input gradients
     nothing reads, then params."""
-    first = next((i for i, s in enumerate(specs) if s.param_count),
-                 len(specs) - 1)
+    for first, spec in enumerate(specs):
+        if spec.param_count:
+            break
     return [None] * (first + 1) + params[first + 1:]
 
 
@@ -215,11 +216,14 @@ def net_backward(specs, params, ctx: NetContext):
 
     Returns (param_grads, input_grad) where param_grads is one flat array
     per layer, in layer order; a layer handed None for params forms no
-    input gradient (see layer_backward).
+    input gradient (see layer_backward).  The backward consumes ctx: it
+    takes each intermediate out of ctx.intermediates as its layer reads
+    it, so an intermediate is freed once the last layer that reads it has
+    run, and ctx.intermediates is empty afterwards.
     """
-    g = ctx.dpred
+    g, inters = ctx.dpred, ctx.intermediates
     param_grads = [None] * len(specs)
-    for i in range(len(specs) - 1, -1, -1):
+    for i in range(len(specs) - 1, -1, -1):  # inters.pop() is layer i's
         param_grads[i], g = layer_backward(specs[i], params[i],
-                                           ctx.intermediates[i], g)
+                                           inters.pop(), g)
     return param_grads, g

@@ -45,10 +45,12 @@ class SgdConfig:
         check_finite_nonneg("weight decay", self.weight_decay)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Slot:
     """Provenance of one accumulated gradient: which batch, which
-    parameter version (None if the slot was skipped during fill)."""
+    parameter version (None if the slot was skipped during fill).  Not
+    frozen, as a frozen __init__ costs about three times as much, but
+    never assigned to or hashed once built."""
 
     j: int
     batch_index: int
@@ -75,8 +77,8 @@ class Accumulator:
         self.capacity = capacity
         self._sizes = param_shapes
         self._sums = None  # per-layer arrays while a real gradient is held
-        self.slots = [Slot(j, first_batch + j)
-                      for j in range(min(capacity, -first_batch))]
+        self.slots = [Slot(j, first_batch + j) for j in range(
+            min(capacity, -first_batch))] if first_batch < 0 else []
 
     def add(self, grads, batch_index: int, version: int):
         """Accumulate a real gradient (list of flat per-layer arrays) as
@@ -85,15 +87,15 @@ class Accumulator:
         becomes the sums in place, 0.0 + g (-0.0 turns +0.0, the bits of
         zeros + g), and later ones add into them.  An empty vector has
         no bits and is kept as it is."""
-        if len(grads) != len(self._sizes):
+        sizes, slots, sums = self._sizes, self.slots, self._sums
+        if len(grads) != len(sizes):
             raise ProtocolError("gradient layout does not match accumulator")
-        j = len(self.slots)
+        j = len(slots)
         if j == self.capacity:
             raise ProtocolError(
                 f"accumulator overflow: {self.capacity} slots already held")
-        self.slots.append(Slot(j, batch_index, version))
-        sums = self._sums
-        for g, n, acc in zip(grads, self._sizes, sums or grads):
+        slots.append(Slot(j, batch_index, version))
+        for g, n, acc in zip(grads, sizes, sums or grads):
             if g.shape != (n,):
                 raise ProtocolError(
                     "gradient layout does not match accumulator")
@@ -137,18 +139,18 @@ def ga_update(params, avg, lr: float, sgd: SgdConfig, velocity=None):
     """
     if not lr >= 0.0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
-    momentum = sgd.momentum != 0.0
+    momentum, decay = sgd.momentum, sgd.weight_decay
     if momentum and velocity is None:
         velocity = [np.zeros_like(p) for p in params]
     new_params = []
     for p, g, v in zip(params, avg, velocity if momentum else avg):
         if p.size:  # an empty vector passes through
             step = g
-            if sgd.weight_decay != 0.0:  # wd * p + g, the bits of g + wd * p
-                step = np.multiply(sgd.weight_decay, p)
+            if decay:  # wd * p + g, the bits of g + wd * p
+                step = np.multiply(decay, p)
                 step += g
             if momentum:  # the velocity is private to its module: in place
-                v *= sgd.momentum
+                v *= momentum
                 v += step
                 step = v
             p = np.subtract(p, np.multiply(lr, step, out=g), out=g)  # in g
@@ -159,15 +161,25 @@ def ga_update(params, avg, lr: float, sgd: SgdConfig, velocity=None):
 def grads_sumsq(grads) -> float:
     """Sum of squared entries across a list of flat arrays, fixed order,
     skipping empty ones.  einsum, unlike np.dot, does not go through BLAS,
-    so the bits do not depend on the BLAS thread count."""
-    return sum((float(np.einsum("i,i->", g, g)) for g in grads if g.size),
-               0.0)
+    so the bits do not depend on the BLAS thread count.  The per-array
+    sums are added left to right in a plain loop: the builtin sum() of
+    Python 3.12 and later compensates, so its bits depend on the
+    interpreter."""
+    total = 0.0
+    for g in grads:
+        if g.size:
+            total += float(np.einsum("i,i->", g, g))
+    return total
 
 
 def global_grad_norm(module_sumsqs) -> float:
-    """Whole-network gradient norm from per-module squared sums, summed
-    in module order so every runner reproduces identical bits."""
-    return float(np.sqrt(sum(module_sumsqs)))
+    """Whole-network gradient norm from per-module squared sums, added
+    left to right in module order, as grads_sumsq adds, so every runner
+    and interpreter reproduces identical bits."""
+    total = 0.0
+    for sumsq in module_sumsqs:
+        total += sumsq
+    return float(np.sqrt(total))
 
 
 # --- learning-rate schedules -------------------------------------------------

@@ -30,8 +30,9 @@ A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
 backward's arrays dead before the update.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the messages, plain
-(batch, payload, target) tuples, on edges keyed (sender, receiver), and
-both runners feed every slot through it.  Both build every edge from one
+(batch, payload, target) tuples, on edges keyed (sender, receiver) and
+looked up once per run for each worker (_ports), and both runners feed
+every slot through it.  Both build every edge from one
 class, an unbounded FIFO that the schedule itself bounds, and differ only
 in how long a read waits: run_clocked executes the tick loop in-process,
 and its reads never wait; run_parallel runs one thread per module, and
@@ -101,6 +102,9 @@ def divergence_reason(s: int, bad_loss, sumsqs, limit: float):
     None.  The first offender in this order names the reason: modules
     1..K-1 by norm, module K's loss, module K's norm, the whole-network
     norm."""
+    whole = global_grad_norm(sumsqs)
+    if bad_loss is None and not offends(whole, limit):
+        return None  # no module's norm exceeds the whole network's
     for k, sumsq in enumerate(sumsqs, 1):
         if k == len(sumsqs) and bad_loss is not None:
             batch, loss = bad_loss
@@ -108,9 +112,8 @@ def divergence_reason(s: int, bad_loss, sumsqs, limit: float):
         norm = math.sqrt(sumsq)
         if offends(norm, limit):
             return f"module {k} gradient norm {norm!r} at update {s + 1}"
-    norm = global_grad_norm(sumsqs)
-    if offends(norm, limit):
-        return f"global gradient norm {norm!r} at update {s + 1}"
+    if offends(whole, limit):
+        return f"global gradient norm {whole!r} at update {s + 1}"
     return None
 
 
@@ -216,42 +219,44 @@ class ModuleWorker:
         t_b = u - 2*(K-k) from gout, the gradient of its output (module K
         outputs and uses its own loss gradient), and update if u closes a
         group.  Returns (output, input gradient of t_b or None if t_b < 0)."""
-        if self.version != u // self.M:
+        M, version, stash = self.M, self.version, self.stash
+        if version != u // M:
             raise ProtocolError(
                 f"version law broken: module {self.k} at version "
-                f"{self.version} forwarding batch {u}")
-        specs, n = self.specs, len(self.specs)
+                f"{version} forwarding batch {u}")
+        specs, params, n = self.specs, self.params, len(self.specs)
         inters = [None] * n  # filled by index: no loop variable outlives it
         h = x
         for i in range(n):
-            h, inters[i] = layer_forward(specs[i], self.params[i], h)
+            h, inters[i] = layer_forward(specs[i], params[i], h)
         if self.is_last:
             loss, h = loss_and_grad(self.cfg.loss, h, target)
             self._losses.append(loss)
         # stash what the delayed backward reads, if one will
         if u < self.stash_end:
-            self.stash.append((u, inters, self.version, self._stashed))
-            if len(self.stash) > self.two_delta + 1:
+            stash.append((u, inters, version, self._stashed))
+            if len(stash) > self.two_delta + 1:
                 raise ProtocolError(
-                    f"stash occupancy {len(self.stash)} exceeds "
+                    f"stash occupancy {len(stash)} exceeds "
                     f"{self.two_delta + 1} in module {self.k}")
-        t_b, g = u - self.two_delta, None
-        if u % self.M == 0:  # a group opens with its fill slots
-            self.acc = Accumulator(self._sizes, self.M, t_b)
+        t_b, g, j = u - self.two_delta, None, u % M
+        if j == 0:  # a group opens with its fill slots
+            self.acc = Accumulator(self._sizes, M, t_b)
         if t_b >= 0:
-            if not self.stash or self.stash[0][0] != t_b:
+            if not stash or stash[0][0] != t_b:
                 raise ProtocolError(
                     f"module {self.k} stash head is not batch {t_b}")
-            _, inters, version, sparams = self.stash.popleft()
+            _, inters, used, sparams = stash.popleft()
             grads = [None] * n
             g = h if self.is_last else gout
+            # inters.pop() is layer i's intermediate, freed once read
             for i in range(n - 1, -1, -1):
-                grads[i], g = layer_backward(specs[i], sparams[i], inters[i],
-                                             g)
-            self.acc.add(grads, t_b, version)
+                grads[i], g = layer_backward(specs[i], sparams[i],
+                                             inters.pop(), g)
+            self.acc.add(grads, t_b, used)
             del sparams, grads
         del inters  # the backward's arrays are dead before the update
-        if u % self.M == self.M - 1:
+        if j == M - 1:
             cfg, acc, self.acc = self.cfg, self.acc, None
             avg = acc.average()
             sumsq = grads_sumsq(avg)
@@ -347,34 +352,36 @@ def _assemble(cfg: TrainConfig, mode: str, groups) -> RunTrace:
     return trace
 
 
-def feed_slot(w: ModuleWorker, u: int, edges: dict, cfg: TrainConfig,
+def feed_slot(w: ModuleWorker, u: int, ports: tuple, cfg: TrainConfig,
               dataset: Dataset):
     """Gather worker w's slot-u inputs, run the slot and send its outputs.
 
     feed_slot alone reads, index-checks, builds and sends the (batch,
-    payload, target) messages, through get() and put() on
-    edges[(sender, receiver)] between adjacent modules.  Module 1
-    samples batch u once, and its target rides up to module K on the
-    activations.  The input gradient of batch t_b goes down if module
-    k-1 backpropagates t_b before its last slot."""
-    k, t_b, last = w.k, u - w.two_delta, w.is_last
-    if k == 1:
+    payload, target) messages, through get() and put() on w's ports, its
+    edges to the adjacent modules (see _ports).  Module 1, which has no
+    activation input, samples batch u once, and its target rides up
+    to module K on the activations.  The input gradient of batch t_b
+    goes down if module k-1 backpropagates t_b before its last slot."""
+    x_in, g_in, y_out, g_out = ports
+    t_b = u - w.two_delta
+    if x_in is None:
         x, target = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, u)
     else:
-        b, x, target = edges[k - 1, k].get()
+        b, x, target = x_in.get()
         if b != u:
-            raise ProtocolError(f"module {k} expected activation {u}, got {b}")
+            raise ProtocolError(
+                f"module {w.k} expected activation {u}, got {b}")
     gout = None
-    if not last and t_b >= 0:
-        b, gout, _ = edges[k + 1, k].get()
+    if g_in is not None and t_b >= 0:
+        b, gout, _ = g_in.get()
         if b != t_b:
-            raise ProtocolError(f"module {k} expected gradient for batch "
+            raise ProtocolError(f"module {w.k} expected gradient for batch "
                                 f"{t_b}, got {b}")
-    y, g_in = w.process_slot(u, x, target, gout)
-    if not last:
-        edges[k, k + 1].put((u, y, target))
-    if k > 1 and 0 <= t_b < w.stash_end - 2:
-        edges[k, k - 1].put((t_b, g_in, None))
+    y, grad = w.process_slot(u, x, target, gout)
+    if y_out is not None:
+        y_out.put((u, y, target))
+    if g_out is not None and 0 <= t_b < w.stash_end - 2:
+        g_out.put((t_b, grad, None))
 
 
 def _clock(K: int, MS: int):
@@ -415,6 +422,7 @@ class _Stopped(Exception):
 
 
 _CLOSED = object()  # put on every edge of run_parallel once a worker fails
+_take = queue.SimpleQueue.get  # _Edge's own read, looked up once
 
 
 class _Edge(queue.SimpleQueue):
@@ -433,7 +441,7 @@ class _Edge(queue.SimpleQueue):
 
     def get(self):
         try:
-            item = queue.SimpleQueue.get(self, self.block, self.timeout)
+            item = _take(self, self.block, self.timeout)
         except queue.Empty:
             raise ProtocolError("missing message on edge %d->%d after %g s"
                                 % (*self.key, self.timeout)) from None
@@ -446,6 +454,15 @@ def _edges(K: int, timeout: float) -> dict:
     """_Edge(e, timeout) for both directions e of every module pair."""
     return {e: _Edge(e, timeout) for k in range(1, K)
             for e in ((k, k + 1), (k + 1, k))}
+
+
+def _ports(edges: dict, k: int) -> tuple:
+    """Module k's edges, looked up once per run rather than per slot: its
+    activation and gradient inputs (k-1 -> k, k+1 -> k), then its
+    activation and gradient outputs (k -> k+1, k -> k-1), each None where
+    module k has no such edge."""
+    return tuple(edges.get(e) for e in ((k - 1, k), (k + 1, k), (k, k + 1),
+                                        (k, k - 1)))
 
 
 def _finish(cfg: TrainConfig, workers, edges: dict, mode: str,
@@ -484,10 +501,11 @@ def run_clocked(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     _check_dataset(cfg, dataset)
     workers = build_workers(cfg)
     edges = _edges(cfg.K, 0.0)
+    ports = [_ports(edges, k) for k in range(1, cfg.K + 1)]
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for _, k, u in _clock(cfg.K, cfg.total_batches):
-            feed_slot(workers[k - 1], u, edges, cfg, dataset)
+            feed_slot(workers[k - 1], u, ports[k - 1], cfg, dataset)
     return _finish(cfg, workers, edges, "adl-clocked", time.perf_counter() - t0)
 
 
@@ -564,8 +582,9 @@ def run_parallel(cfg: TrainConfig, dataset: Dataset,
     def drive(w: ModuleWorker):
         try:
             np.seterr(over="ignore", invalid="ignore")  # thread-local
+            ports = _ports(edges, w.k)
             for u in range(cfg.total_batches):
-                feed_slot(w, u, edges, cfg, dataset)
+                feed_slot(w, u, ports, cfg, dataset)
         except _Stopped:
             pass
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller

@@ -1,4 +1,6 @@
 """Forward/backward correctness of the dense-network primitives."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,11 +183,41 @@ def test_net_backward_can_skip_the_input_gradient(seed, random_net):
     specs, states, x, loss, target = random_net(seed)
     _, ctx = net.net_forward(specs, states, x, loss, target)
     full, _ = net.net_backward(specs, states, ctx)
+    _, ctx = net.net_forward(specs, states, x, loss, target)  # consumed
     grads, xgrad = net.net_backward(
         specs, net.first_module_params(specs, states), ctx)
     assert xgrad is None  # layer 0 of every random net is affine
     for a, b in zip(grads, full):
         np.testing.assert_array_equal(a, b)
+
+
+def test_net_backward_frees_each_intermediate_after_its_last_reader(
+        monkeypatch):
+    # a tanh keeps its output, which the identity and affine layers above
+    # it keep as their input: one array, read last by the tanh's backward
+    specs = [net.affine(3, 4), net.tanh(4), net.identity(4), net.affine(4, 4),
+             net.relu(4), net.affine(4, 2)]
+    params = [st.params for st in net.init_states(specs, seed=1)]
+    rng = np.random.default_rng(2)
+    _, ctx = net.net_forward(specs, params, rng.normal(size=(5, 3)), net.MSE,
+                             rng.normal(size=(5, 2)))
+    # each intermediate with the lowest layer that reads it
+    ids = [id(a) for a in ctx.intermediates]
+    refs = [(weakref.ref(a), ids.index(id(a))) for a in ctx.intermediates]
+    backward, entered, early = net.layer_backward, [], []
+
+    def watched(spec, p, inter, gout):
+        i = len(specs) - 1 - len(entered)  # every layer above i has run
+        entered.append(i)
+        early.extend(j for ref, j in refs if j > i and ref() is not None)
+        return backward(spec, p, inter, gout)
+
+    monkeypatch.setattr(net, "layer_backward", watched)
+    net.net_backward(specs, params, ctx)
+    assert entered == [5, 4, 3, 2, 1, 0]
+    assert early == []
+    assert ctx.intermediates == []  # consumed
+    assert all(ref() is None for ref, _ in refs)
 
 
 def test_input_gradient_matches_finite_differences():

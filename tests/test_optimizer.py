@@ -1,6 +1,7 @@
 """Accumulator semantics, the accumulated-SGD step, and LR schedules."""
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adl import data, net
+from adl import data, net, optimizer
 from adl.errors import DomainError, ProtocolError
 from adl.optimizer import (Accumulator, ConstantLr, Harmonic, SgdConfig,
                            Slot, StepDecay, ga_update, global_grad_norm,
@@ -308,6 +309,16 @@ def test_grad_norm_helpers():
     for grads in ([], [np.zeros(0)], [np.zeros(0), np.zeros(0)]):
         total = grads_sumsq(grads)
         assert type(total) is float and total == 0.0
+
+
+def test_grad_norms_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # Python 3.12's builtin sum() of floats compensates, 3.10's and 3.11's
+    # do not: with a compensated sum() in adl.optimizer's namespace, the
+    # norms must still read the plain left-to-right sums, 1e16 + 1 == 1e16
+    monkeypatch.setattr(optimizer, "sum", raising=False,
+                        value=lambda xs, start=0: math.fsum([start, *xs]))
+    assert grads_sumsq([np.array([1e8]), np.ones(1), np.ones(1)]) == 1e16
+    assert global_grad_norm([1e16, 1.0, 1.0]) == 1e8
 
 
 def test_parameterless_module_update_writes_nothing():

@@ -491,6 +491,80 @@ def test_a_backward_leaves_nothing_alive_for_the_update(K, M, runner,
     assert wrong == []
 
 
+@pytest.mark.parametrize("bounds", [(0, 8), (0, 4, 8), (0, 4, 6, 8)])
+def test_a_slot_frees_each_intermediate_after_its_last_reader(bounds,
+                                                             monkeypatch):
+    # every module ends with an affine layer, whose output no module keeps,
+    # so the intermediates a slot's backward reads are its batch's alone:
+    # each is dead once the lowest layer that reads it has run, whatever
+    # other layers read it too (a tanh's output is also the input the
+    # identity and affine layers above it keep); the slot's own input,
+    # held by its caller, is the one exception
+    specs = [net.affine(2, 6), net.tanh(6), net.identity(6),
+             net.affine(6, 6), net.relu(6), net.affine(6, 6), net.tanh(6),
+             net.affine(6, 2)]
+    cfg = TrainConfig(specs, Partition(bounds), net.SOFTMAX_CE, 2, 4, 3,
+                      ConstantLr(0.1), seed=3)
+    ds = data.gen_two_spirals(32, 0.0, seed=1)
+    process_slot = scheduler.ModuleWorker.process_slot
+    backward = scheduler.layer_backward
+    read, early = [], []  # weak references to what this slot's backward read
+
+    def slot(worker, u, x, *args):
+        read.clear()
+        out = process_slot(worker, u, x, *args)
+        early.extend((worker.k, u) for ref in read
+                     if ref() is not None and ref() is not x)
+        return out
+
+    def watched(spec, p, inter, gout):
+        early.extend(spec for ref in read
+                     if ref() is not None and ref() is not inter)
+        read.append(weakref.ref(inter))
+        return backward(spec, p, inter, gout)
+
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot", slot)
+    monkeypatch.setattr(scheduler, "layer_backward", watched)
+    assert run_clocked(cfg, ds).S == 3
+    assert early == []
+
+
+def test_run_clocked_calls_every_name_the_tracer_wraps(spiral_case,
+                                                       monkeypatch):
+    # bench/tracing.py times these calls by replacing adl.scheduler's
+    # module names and two methods, as this test counts them: a hot path
+    # that stopped calling through one of them would drop its spans
+    K, M, S = 3, 2, 4
+    cfg, ds = spiral_case(K, M, S=S)
+    calls = dict.fromkeys(("process_slot", "sample_batch", "layer_forward",
+                           "layer_backward", "loss_and_grad", "ga_update",
+                           "grads_sumsq", "add"), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        if hasattr(scheduler, name):
+            monkeypatch.setattr(scheduler, name,
+                                counted(name, getattr(scheduler, name)))
+    monkeypatch.setattr(optimizer.Accumulator, "add",
+                        counted("add", optimizer.Accumulator.add))
+    monkeypatch.setattr(scheduler.ModuleWorker, "process_slot",
+                        counted("process_slot",
+                                scheduler.ModuleWorker.process_slot))
+    assert run_clocked(cfg, ds).S == S
+    backward = sum((M * S - 2 * (K - k)) * len(cfg.partition.layers_of(k))
+                   for k in range(1, K + 1))
+    assert calls == {"process_slot": K * M * S, "sample_batch": M * S,
+                     "layer_forward": M * S * len(cfg.layers),
+                     "layer_backward": backward, "loss_and_grad": M * S,
+                     "ga_update": K * S, "grads_sumsq": K * S,
+                     "add": K * M * S - K * (K - 1)}
+
+
 def test_tick_events_example(ident_case):
     # 3-module pipeline, M=4: at tick 5 module 2 forwards batch 4 and
     # backpropagates batch 2, with no update; its first update lands at
@@ -614,7 +688,7 @@ def test_a_worker_holds_an_accumulator_only_while_its_group_is_open(
     edges = scheduler._edges(cfg.K, 0.0)
     for _, k, u in scheduler._clock(cfg.K, cfg.total_batches):
         w = workers[k - 1]
-        scheduler.feed_slot(w, u, edges, cfg, ds)
+        scheduler.feed_slot(w, u, scheduler._ports(edges, k), cfg, ds)
         assert (w.acc is None) == (u % 2 == 1)
     assert all(w.acc is None for w in workers)
 
