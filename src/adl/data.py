@@ -72,29 +72,36 @@ def gen_two_spirals(n: int, noise_std: float, seed: int) -> Dataset:
     return Dataset(pts, labels)
 
 
-_sampler = threading.local()  # .rng: this thread's Philox Generator
+_sampler = threading.local()  # .philox: this thread's re-keyed Philox
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def batch_indices(sampler_seed: int, t: int, n: int, batch_size: int):
     """Indices of batch t: uniform with replacement, pure in (seed, t).
     They are the first draws of a Philox generator keyed (seed, t) at
-    counter 0; each thread re-keys one generator by setting its state,
-    which draws what a new generator would, at a fraction of the cost."""
+    counter 0; each thread re-keys one generator by assigning it one
+    state template, its key set first, which draws what a new generator
+    would, at a fraction of the cost."""
     if t < 0:
         raise DomainError(f"batch index must be >= 0, got {t}")
     if n < 1 or batch_size < 1:
         raise DomainError("need n >= 1 and batch_size >= 1")
-    if not hasattr(_sampler, "rng"):
-        _sampler.rng = np.random.Generator(np.random.Philox())
-    _sampler.rng.bit_generator.state = {
-        "bit_generator": "Philox", "buffer": _ZEROS, "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0, "state": {
-            "counter": _ZEROS, "key": (int(sampler_seed) % 2 ** 64, t)}}
-    return _sampler.rng.integers(0, n, size=batch_size)
+    try:
+        bits, rng, state, key = _sampler.philox
+    except AttributeError:  # the thread's first batch
+        rng, key = np.random.Generator(np.random.Philox()), [0, 0]
+        state = {"bit_generator": "Philox", "buffer": _ZEROS,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+                 "state": {"counter": _ZEROS, "key": key}}
+        bits = rng.bit_generator
+        _sampler.philox = bits, rng, state, key
+    key[0], key[1] = int(sampler_seed) % 2 ** 64, t
+    bits.state = state
+    return rng.integers(0, n, size=batch_size)
 
 
 def sample_batch(dataset: Dataset, batch_size: int, sampler_seed: int, t: int):
-    """Materialize batch t as (inputs, targets)."""
+    """Materialize batch t as (inputs, targets): the rows of its indices,
+    copied by take, which skips the set-up of an index expression."""
     idx = batch_indices(sampler_seed, t, dataset.n, batch_size)
-    return dataset.inputs[idx], dataset.targets[idx]
+    return dataset.inputs.take(idx, 0), dataset.targets.take(idx, 0)

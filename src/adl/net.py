@@ -15,6 +15,11 @@ exactly where its input is).
 
 Everything here is deterministic: fixed loop order, no reassociating
 reductions, so repeated evaluation of the same inputs is bit-identical.
+The affine products call ndarray.dot, which reaches the BLAS routine the
+@ operator reaches without the ufunc dispatch.  The two differ only for
+two 1x1 operands, whose product dot forms directly, keeping the sign of
+a zero product that @'s BLAS call writes as +0.0; no trace sees it, as
+a gradient enters its sums as 0.0 + g and no loss reads that sign.
 """
 from __future__ import annotations
 
@@ -115,7 +120,7 @@ def layer_forward(spec: LayerSpec, params: np.ndarray, x: np.ndarray):
             f"got shape {x.shape}")
     kind = spec.kind
     if kind == AFFINE:
-        y = x @ _weights(spec, params).T
+        y = x.dot(_weights(spec, params).T)
         y += params[spec.weight_count:]
         return y, x
     if kind == TANH:
@@ -139,17 +144,18 @@ def layer_backward(spec: LayerSpec, params: np.ndarray, intermediate, gout):
     kind = spec.kind
     if kind == AFFINE:
         grad = np.empty(spec.param_count)  # packed like params, in place
-        np.matmul(gout.T, intermediate, out=_weights(spec, grad))
-        # ndarray.sum's own reduction, without its Python wrapper
-        np.add.reduce(gout, 0, out=grad[spec.weight_count:])
+        # the bias gradient is ndarray.sum's own reduction, without its
+        # wrapper; outputs go by position, which spares a keyword parse
+        np.dot(gout.T, intermediate, _weights(spec, grad))
+        np.add.reduce(gout, 0, None, grad[spec.weight_count:])
         if params is None:
             return grad, None
-        return grad, gout @ _weights(spec, params)
+        return grad, gout.dot(_weights(spec, params))
     if params is None:
         return _NO_GRAD, None
     if kind == TANH:  # gout * (1 - y * y) in one fresh array
         d = np.multiply(intermediate, intermediate)
-        return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, out=d), out=d)
+        return _NO_GRAD, np.multiply(gout, np.subtract(1.0, d, d), d)
     if kind == RELU:  # intermediate is the output y: y > 0 iff x > 0
         return _NO_GRAD, gout * (intermediate > 0.0)
     return _NO_GRAD, gout  # identity
@@ -166,11 +172,11 @@ def first_module_params(specs, params) -> list:
 
 
 def loss_and_grad(kind: str, pred: np.ndarray, target):
-    """Return (loss, dloss/dpred) of a (batch, out) prediction, both means
-    over the batch rows."""
-    if pred.ndim != 2:
-        raise DimensionError(
-            f"{kind} expects a (batch, out) prediction, got shape {pred.shape}")
+    """Return (loss, dloss/dpred) of a (batch >= 1, out) prediction, both
+    means over the batch rows."""
+    if pred.ndim != 2 or not pred.shape[0]:
+        raise DimensionError(f"{kind} expects a (batch >= 1, out) "
+                             f"prediction, got shape {pred.shape}")
     batch = pred.shape[0]
     if kind == MSE:
         target = np.asarray(target, dtype=np.float64)
@@ -178,17 +184,19 @@ def loss_and_grad(kind: str, pred: np.ndarray, target):
             raise DimensionError(
                 f"mse target shape {target.shape} != prediction {pred.shape}")
         r = pred - target
-        return float((r * r).sum() / batch), (2.0 / batch) * r
+        return float(np.add.reduce(r * r, None)) / batch, (2.0 / batch) * r
     if kind == SOFTMAX_CE:
         labels = np.asarray(target)
         if labels.dtype.kind not in "iu":  # signed or unsigned integers
             raise DimensionError("softmax_ce expects integer class labels")
         if labels.shape != (batch,):
             raise DimensionError("softmax_ce labels must be one per batch row")
-        z = pred - pred.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
+        # the reductions of ndarray.max and .sum without their Python
+        # wrappers, and the loss divided as a float: the same bits
+        z = pred - np.maximum.reduce(pred, 1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(z), 1))
         rows = np.arange(batch)
-        loss = float((lse - z[rows, labels]).sum() / batch)
+        loss = float(np.add.reduce(lse - z[rows, labels])) / batch
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1.0
         return loss, p / batch

@@ -27,6 +27,7 @@ they hold nothing to sum, step or mutate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +96,21 @@ class Accumulator:
             raise ProtocolError(
                 f"accumulator overflow: {self.capacity} slots already held")
         slots.append(Slot(j, batch_index, version))
-        for g, n, acc in zip(grads, sizes, sums or grads):
+        if sums is None:  # the first gradient turns into 0.0 + g in place
+            for g, n in zip(grads, sizes):
+                if g.shape != (n,):
+                    raise ProtocolError(
+                        "gradient layout does not match accumulator")
+                if n:
+                    np.add(g, 0.0, g)
+            self._sums = grads
+            return
+        for g, n, acc in zip(grads, sizes, sums):
             if g.shape != (n,):
                 raise ProtocolError(
                     "gradient layout does not match accumulator")
-            if n:  # a first gradient turns into 0.0 + g in place
-                np.add(acc, g if sums else 0.0, out=acc)
-        if sums is None:
-            self._sums = grads
+            if n:
+                np.add(acc, g, acc)
 
     def average(self):
         """Hand over the full group's sums divided in place by capacity,
@@ -179,7 +187,7 @@ def global_grad_norm(module_sumsqs) -> float:
     total = 0.0
     for sumsq in module_sumsqs:
         total += sumsq
-    return float(np.sqrt(total))
+    return math.sqrt(total)  # the correctly rounded root, as np.sqrt's
 
 
 # --- learning-rate schedules -------------------------------------------------

@@ -80,7 +80,7 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
     def replay(t):
         """Batch t on the live version t // M; each module's slice goes to
         the update that reads it.  Returns the loss."""
-        x, y = sample_batch(dataset, cfg.batch_size, cfg.sampler_seed, t)
+        x, y = sample_batch(dataset, cfg.batch_size, cfg.seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
         grads, _ = net_backward(cfg.layers,
                                 first_module_params(cfg.layers, params), ctx)

@@ -326,6 +326,63 @@ def test_loss_validation():
         net.loss_and_grad("hinge", pred, np.array([0, 1]))
 
 
+def test_loss_rejects_an_empty_batch():
+    # a mean over no rows divides by zero: rejected before any reduction
+    for kind, target in ((net.MSE, np.zeros((0, 2))),
+                         (net.SOFTMAX_CE, np.zeros(0, dtype=np.int64))):
+        with pytest.raises(DimensionError, match=r"batch >= 1.*\(0, 2\)"):
+            net.loss_and_grad(kind, np.zeros((0, 2)), target)
+
+
+def ndarray_method_loss(kind, pred, target):
+    """loss_and_grad written with the ndarray methods: .max and .sum for
+    the reductions, and the loss divided as a numpy scalar."""
+    batch = pred.shape[0]
+    if kind == net.MSE:
+        r = pred - target
+        return float((r * r).sum() / batch), (2.0 / batch) * r
+    z = pred - pred.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    rows = np.arange(batch)
+    loss = float((lse - z[rows, target]).sum() / batch)
+    p = np.exp(z - lse[:, None])
+    p[rows, target] -= 1.0
+    return loss, p / batch
+
+
+SPECIAL_PREDICTIONS = {
+    "tied": [[1.0, 1.0, 1.0], [0.5, 0.5, -2.0]],
+    "signed zeros": [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]],
+    "near +-1e300": [[1e300, -1e300, 0.0], [-1e300, -1e300, -1e300],
+                     [1e300, 1e300, -1e300]],
+    "a nan row": [[np.nan, 1.0, 2.0], [0.0, 1.0, -1.0]],
+    "an inf row": [[np.inf, 1.0, -np.inf], [0.0, 3.0, -1.0]],
+    "one row": [[0.3, -1.2, 2.5]],
+    # x / 5 != x * (1 / 5) for the softmax_ce loss of the first and the mse
+    # loss of the second: a loss scaled by the reciprocal fails
+    "five rows": np.random.default_rng(0).normal(size=(5, 3)),
+    "five other rows": np.random.default_rng(1).normal(size=(5, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", [net.SOFTMAX_CE, net.MSE])
+@pytest.mark.parametrize("case", sorted(SPECIAL_PREDICTIONS))
+def test_loss_bits_match_the_ndarray_method_formula(kind, case):
+    # the loss reduces through the ufuncs' own reduce and divides as a
+    # float: the same bits as the ndarray methods, special values included
+    pred = np.array(SPECIAL_PREDICTIONS[case])
+    batch, out = pred.shape
+    target = np.roll(pred, 1, axis=1) if kind == net.MSE else \
+        np.arange(batch) * 2 % out
+    with np.errstate(all="ignore"):
+        loss, grad = net.loss_and_grad(kind, pred, target)
+        want_loss, want_grad = ndarray_method_loss(kind, pred, target)
+    assert np.float64(loss).view(np.uint64) == \
+        np.float64(want_loss).view(np.uint64)
+    np.testing.assert_array_equal(grad.view(np.uint64),
+                                  want_grad.view(np.uint64))
+
+
 @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
 def test_layers_take_only_batches(shape):
     # a single sample is a one-row batch; no other shape is accepted

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adl import data, net, oracle
+from adl import data, net, optimizer, oracle
 from adl.errors import ComparisonError
 from adl.optimizer import ConstantLr, Harmonic, SgdConfig, StepDecay
 from adl.oracle import delayed_replay, sync_ga_sgd
@@ -292,8 +292,13 @@ def test_divergence_in_oracles(spiral_case):
 
 
 def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):
-    # the gradient of batch t does not depend on the module that reads it
+    # the gradient of batch t does not depend on the module that reads it;
+    # the replay's twin of test_run_clocked_calls_every_name_the_tracer_wraps
+    # also counts the other names bench/tracing.py wraps in adl.oracle, and
+    # Accumulator.add, which it calls as often as the clock does
     calls = {"sample_batch": [], "net_forward": 0}
+    names = ("net_backward", "ga_update", "grads_sumsq")
+    counts = dict.fromkeys(names + ("add",), 0)
 
     def sample(dataset, size, seed, t):
         calls["sample_batch"].append(t)
@@ -303,11 +308,24 @@ def test_replay_makes_one_pass_per_batch(spiral_case, monkeypatch):
         calls["net_forward"] += 1
         return net.net_forward(*args)
 
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(oracle, "sample_batch", sample)
     monkeypatch.setattr(oracle, "net_forward", forward)
-    cfg, ds = spiral_case(3, 2, S=6)
+    for name in names:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    monkeypatch.setattr(optimizer.Accumulator, "add",
+                        counted("add", optimizer.Accumulator.add))
+    K, M, S = 3, 2, 6
+    cfg, ds = spiral_case(K, M, S=S)
     assert delayed_replay(cfg, ds).S == 6
     assert calls == {"sample_batch": list(range(12)), "net_forward": 12}
+    assert counts == {"net_backward": M * S, "ga_update": K * S,
+                      "grads_sumsq": K * S, "add": K * M * S - K * (K - 1)}
 
 
 @pytest.mark.parametrize("K,M", [(2, 1), (3, 4)])

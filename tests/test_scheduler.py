@@ -1085,3 +1085,41 @@ def test_run_parallel_without_openblas_matches_the_clock(spiral_case,
     assert report.passed and report.max_param_diff == 0.0, report.text()
     for ga, gb in zip(a.grads, b.grads, strict=True):
         np.testing.assert_array_equal(ga, gb)
+
+
+def test_a_signed_zero_product_reaches_no_trace(monkeypatch):
+    # the affine kernels call ndarray.dot, which keeps the sign of a zero
+    # product of two 1x1 operands where @'s BLAS call writes +0.0: on a
+    # chain of 1-in, 1-out layers at batch 1 over signed zeros, the clock
+    # writes the trace that the @ kernels write, bit for bit
+    layers = [net.affine(1, 1), net.tanh(1), net.affine(1, 1),
+              net.identity(1), net.affine(1, 1)]
+    x = np.array([[-0.0], [0.5], [-0.0], [-1.5]])
+    cfg = TrainConfig(layers, partition_even(5, 3), net.MSE, 1, 1, 8,
+                      ConstantLr(0.1), record_params=True, record_grads=True)
+    ds = data.Dataset(x, -x)
+    forward, backward = net.layer_forward, net.layer_backward
+
+    def matmul_forward(spec, params, h):
+        if spec.kind != net.AFFINE:
+            return forward(spec, params, h)
+        w, b = net._weights(spec, params), params[spec.weight_count:]
+        return h @ w.T + b, h
+
+    def matmul_backward(spec, params, h, gout):
+        if spec.kind != net.AFFINE:
+            return backward(spec, params, h, gout)
+        grad = np.concatenate([(gout.T @ h).ravel(), gout.sum(axis=0)])
+        return grad, None if params is None else \
+            gout @ net._weights(spec, params)
+
+    with_dot = run_clocked(cfg, ds)
+    monkeypatch.setattr(scheduler, "layer_forward", matmul_forward)
+    monkeypatch.setattr(scheduler, "layer_backward", matmul_backward)
+    with_matmul = run_clocked(cfg, ds)
+    assert [(r.loss.hex(), r.grad_norm.hex()) for r in with_dot.updates] == \
+        [(r.loss.hex(), r.grad_norm.hex()) for r in with_matmul.updates]
+    a, b = with_dot, with_matmul
+    for pa, pb in zip(a.params + a.grads + [a.final_params],
+                      b.params + b.grads + [b.final_params], strict=True):
+        assert pa.tobytes() == pb.tobytes()
