@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -337,7 +338,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `adl` argument parser, built on first use and then shared by
+    every call in the process, so no default may be mutable."""
     ap = argparse.ArgumentParser(
         prog="adl",
         description="pipeline-parallel training with delayed gradients "
@@ -352,8 +356,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--modules", "--K", dest="modules", type=int,
                        required=True, metavar="K")
     p_tab.add_argument("--ga-steps", "--M", dest="ga_steps",
-                       type=lambda s: [int(t) for t in s.split(",")],
-                       default=[1, 2, 4, 8], metavar="M1,M2,...")
+                       type=lambda s: tuple(int(t) for t in s.split(",")),
+                       default=(1, 2, 4, 8), metavar="M1,M2,...")
 
     p_b = sub.add_parser("bounds", help="convergence-bound calculators")
     p_b.add_argument("--modules", type=int, required=True, metavar="K")

@@ -12,9 +12,11 @@ of the averaged accumulated gradient.  d_kj = s - version_used is
 derived, and read back only to be checked.  Skipped fill slots leave
 version_used and d_kj empty.  Floats are written in shortest exact
 round-trip decimal form, so parsing the file back reproduces the same
-float64 bits.  read_csv rejects a body that disagrees with the K, M and
-updates header, rows of one update that disagree on tick, loss or
-grad_norm (two NaNs agree), a module whose rows do not carry
+float64 bits.  The header before the column row is one line each of
+K, M, updates and diverged (0 or 1), in write_csv's form "# K=2".
+read_csv rejects any other header line, a body that disagrees with the
+K, M and updates header, rows of one update that disagree on tick,
+loss or grad_norm (two NaNs agree), a module whose rows do not carry
 j = 0..M-1 in order, and a d_kj other than s - version_used (empty
 exactly when version_used is).
 """
@@ -33,6 +35,7 @@ from .staleness import averaged_los
 
 CSV_COLUMNS = ("s", "tick", "loss", "grad_norm", "module", "j",
                "batch_index", "version_used", "d_kj")
+_HEADER_KEYS = ("K", "M", "updates", "diverged")
 
 
 @dataclass(slots=True)
@@ -98,6 +101,15 @@ def write_csv(trace: RunTrace, path):
                     fh.write(f"{head},{k},{slot.j},{tail}\n")
 
 
+class _Ints(dict):
+    """int(text) of each distinct text, parsed once: a text that int
+    rejects raises its ValueError and is not stored."""
+
+    def __missing__(self, text):
+        self[text] = value = int(text)
+        return value
+
+
 def read_csv(path) -> RunTrace:
     try:
         with open(path) as fh:
@@ -105,43 +117,48 @@ def read_csv(path) -> RunTrace:
     except UnicodeDecodeError as exc:
         raise ComparisonError(f"{path}: {exc}") from None
     meta = {}
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, val = line[1:].strip().partition("=")
-            try:
-                meta[key] = int(val)
-            except ValueError:
-                raise ComparisonError(
-                    f"{path}: bad header line {line!r}") from None
-        elif line:
-            body.append(line)
-    if not body or body[0] != ",".join(CSV_COLUMNS):
+    n = 0  # the column row's index
+    while n < len(lines) and lines[n].startswith("#"):
+        key, _, val = lines[n][1:].strip().partition("=")
+        try:
+            value = int(val)
+        except ValueError:
+            value = None
+        if (value is None or key in meta or key not in _HEADER_KEYS
+                or key == "diverged" and value not in (0, 1)):
+            raise ComparisonError(f"{path}: bad header line {lines[n]!r}")
+        meta[key] = value
+        n += 1
+    if lines[n:n + 1] != [",".join(CSV_COLUMNS)]:
         raise ComparisonError(f"{path}: missing or malformed header row")
     trace = RunTrace(mode="file", K=meta.get("K", 0), M=meta.get("M", 0),
                      diverged=bool(meta.get("diverged", 0)))
-    current = None
-    for line in body[1:]:
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ComparisonError(f"{path}: bad row {line!r}")
+    ints = _Ints()
+    s = last_module = None
+    for line in lines[n + 1:]:
         try:
-            s = int(parts[0])
-            if current is None or current.s != s:
-                head = ",".join(parts[:4]) + ","
-                current = UpdateRecord(s, int(parts[1]), float(parts[2]),
-                                       float(parts[3]), {})
+            s_text, tick, loss, norm, module, j, batch, version, d = \
+                line.split(",")
+            if ints[s_text] != s:
+                s = ints[s_text]
+                head = f"{s_text},{tick},{loss},{norm},"
+                current = UpdateRecord(s, ints[tick], float(loss),
+                                       float(norm), {})
                 trace.updates.append(current)
+                last_module = None
             agrees = line.startswith(head) or (
-                int(parts[1]) == current.tick
-                and not _gap(float(parts[2]), current.loss)
-                and not _gap(float(parts[3]), current.grad_norm))
-            k, j, batch = int(parts[4]), int(parts[5]), int(parts[6])
-            if parts[7] == "":  # a fill slot: d_kj is empty too
-                version, d_ok = None, parts[8] == ""
+                ints[tick] == current.tick
+                and not _gap(float(loss), current.loss)
+                and not _gap(float(norm), current.grad_norm))
+            if module != last_module:  # the same text, the same list
+                last_module = module
+                slots = current.slots.setdefault(ints[module], [])
+            j, batch = ints[j], ints[batch]
+            if version == "":  # a fill slot: d_kj is empty too
+                version, d_ok = None, d == ""
             else:
-                version = int(parts[7])
-                d_ok = int(parts[8]) == s - version
+                version = ints[version]
+                d_ok = ints[d] == s - version
         except ValueError:
             raise ComparisonError(f"{path}: bad row {line!r}") from None
         if not agrees:
@@ -150,18 +167,19 @@ def read_csv(path) -> RunTrace:
         if not d_ok:
             raise ComparisonError(f"{path}: row {line!r} has a d_kj other "
                                   f"than s - version_used")
-        slots = current.slots.setdefault(k, [])
         if j != len(slots):
             raise ComparisonError(
-                f"{path}: row {line!r} is slot j={j} of module {k}, "
-                f"expected j={len(slots)}")
+                f"{path}: row {line!r} is slot j={j} of module "
+                f"{ints[module]}, expected j={len(slots)}")
         slots.append(Slot(j, batch, version))
-    K, M, S = trace.K, trace.M, meta.get("updates")
+    for key in _HEADER_KEYS:
+        if key not in meta:
+            raise ComparisonError(f"{path}: missing header line '# {key}='")
+    K, M, S = trace.K, trace.M, meta["updates"]
     disagrees = ComparisonError(f"{path}: the body disagrees with the "
                                 f"header K={K}, M={M}, updates={S}")
     # K*M*updates rows, checked before anything is sized by the header
-    if not (K >= 1 and M >= 1 and S is not None
-            and len(body) - 1 == K * M * S):
+    if not (K >= 1 and M >= 1 and len(lines) - n - 1 == K * M * S):
         raise disagrees
     # update s = 0..updates-1 holds modules 1..K with M slots each
     modules = set(range(1, K + 1))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from adl.cli import build_run, main
+from adl.cli import build_run, main, make_parser
 from adl.staleness import averaged_los_sum, theorem2_rhs
 from adl.trace import CSV_COLUMNS
 from test_scheduler import schedule_events
@@ -334,6 +334,33 @@ def test_staleness_table_k_alias(capsys):
     assert main(["staleness-table", "--K", "3", "--M", "4"]) == 0
     out = capsys.readouterr().out
     assert "1/2" in out  # module 2 of 3 at M=4
+
+
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    # one parser serves every call in the process: an argparse error leaves
+    # nothing behind, and the staleness-table default is not shared state
+    assert make_parser() is make_parser()
+    assert make_parser().parse_args(
+        ["staleness-table", "--K", "3"]).ga_steps == (1, 2, 4, 8)
+    trace = tmp_path / "out" / "trace.csv"
+    calls = (["run", str(write_cfg(tmp_path))],
+             ["compare", str(trace), str(trace)],
+             ["staleness-table", "--K", "3"])
+
+    def outputs():
+        texts = []
+        for argv in calls:
+            assert main(argv) == 0, argv
+            texts.append([line for line in capsys.readouterr().out
+                          .splitlines() if not line.startswith("wall_time")])
+        return texts, trace.read_bytes()
+
+    first = outputs()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(trace), str(trace), "--tol"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert outputs() == first
 
 
 def test_bounds_reproduces_reference_numbers(capsys):

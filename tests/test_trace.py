@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from adl.cli import main
 from adl.errors import ComparisonError
 from adl.oracle import sync_ga_sgd
 from adl.scheduler import run_clocked
@@ -144,6 +145,96 @@ def test_read_csv_takes_equal_values_spelled_differently(tmp_path,
     back = read_csv(path)
     assert math.isnan(back.updates[0].grad_norm)
     assert back.updates[0].loss == float(lines[5].split(",")[2])
+
+
+# Line 10 of a K=2, M=2, S=3 trace is update 1's second row: module 1,
+# j=1, batch 1 on version 0, d_kj 1, every integer non-negative
+ROW = 10
+INT_COLUMNS = (0, 1, 4, 5, 6, 7, 8)
+
+
+def _edit(text, column=None, rows=(ROW,)):
+    """An edit setting field `column` of each of rows, or the whole line
+    when column is None, to text(old); it returns the first edited line,
+    the one an error must name."""
+    def edit(lines):
+        for i in rows:
+            if column is None:
+                lines[i] = text(lines[i])
+            else:
+                row = lines[i].split(",")
+                row[column] = text(row[column])
+                lines[i] = ",".join(row)
+        return lines[rows[0]]
+    return edit
+
+
+def _insert(i, text):
+    """An edit inserting text as line i, or deleting line i for None."""
+    def edit(lines):
+        lines[i:i + (text is None)] = [] if text is None else [text]
+        return text
+    return edit
+
+
+_BAD_ROW = "bad row {!r}"
+_BAD_HEADER = "bad header line {!r}"
+_CONTRACT = [
+    # value-preserving spellings read back as the unedited trace
+    *((f"{p!r} before {CSV_COLUMNS[c]}", _edit(lambda v, p=p: p + v, c),
+       None)
+      for c in INT_COLUMNS for p in ("+", "0", " ")),
+    ("loss=5e-1", _edit(lambda v: "5e-1", 2), None),
+    # an integer column holding no integer
+    *((f"{CSV_COLUMNS[c]}={t!r}", _edit(lambda v, t=t: t, c),
+       # an empty version_used marks a fill slot, whose d_kj is empty
+       "row {!r} has a d_kj other than s - version_used"
+       if (c, t) == (7, "") else _BAD_ROW)
+      for c in INT_COLUMNS for t in ("1.0", "x", "")),
+    ("8 fields", _edit(lambda line: line.rsplit(",", 1)[0]), _BAD_ROW),
+    ("10 fields", _edit(lambda line: line + ",1"), _BAD_ROW),
+    # one bad token in two rows: the first is named
+    ("two rows", _edit(lambda v: "x", 6, rows=(ROW, ROW + 4)), _BAD_ROW),
+    # the header holds K, M, updates and diverged once each, diverged
+    # 0 or 1, all before the column row
+    ("diverged=7", _edit(lambda _: "# diverged=7", rows=(3,)), _BAD_HEADER),
+    ("diverged=-1", _edit(lambda _: "# diverged=-1", rows=(3,)),
+     _BAD_HEADER),
+    ("K twice", _insert(1, "# K=2"), _BAD_HEADER),
+    ("unknown key", _insert(4, "# seed=5"), _BAD_HEADER),
+    ("no diverged", _insert(3, None), "missing header line '# diverged='"),
+    ("# in the body", _insert(ROW, "# note"), _BAD_ROW),
+    ("blank in the body", _insert(ROW, ""), _BAD_ROW),
+    # update 0 holds modules 1 and 3: the count matches, the modules not
+    ("module 3 of 2", _edit(lambda v: "3", 4, rows=(7, 8)),
+     "the body disagrees with the header K=2, M=2, updates=3"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [c[1:] for c in _CONTRACT],
+                         ids=[c[0] for c in _CONTRACT])
+def test_read_csv_row_and_header_contract(tmp_path, capsys, spiral_case,
+                                          edit, message):
+    path, _ = roundtrip(run_clocked(*spiral_case(2, 2, S=3)), tmp_path)
+    lines = path.read_text().splitlines()
+    for i in range(9, 13):  # update 1's loss is 0.5 in each of its rows
+        row = lines[i].split(",")
+        row[2] = "0.5"
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    named = edit(lines)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    if message is None:
+        a, b = read_csv(path), read_csv(edited)
+        assert (a.K, a.M, a.diverged) == (b.K, b.M, b.diverged)
+        assert a.updates == b.updates
+    else:
+        assert main(["compare", str(edited), str(edited)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: {edited}: {message.format(named)}\n"
+        assert not captured.out
 
 
 def test_observed_staleness_matches_prediction(spiral_case):
