@@ -323,8 +323,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    a = read_csv(args.trace_a)
-    b = read_csv(args.trace_b)
+    slots = {}  # b's rows reuse the Slot objects a's rows built
+    a = read_csv(args.trace_a, slots)
+    b = read_csv(args.trace_b, slots)
     report = compare_traces(a, b, args.tol)
     sys.stdout.write(report.text())
     return 0 if report.passed else 1

@@ -51,7 +51,9 @@ class Slot:
     """Provenance of one accumulated gradient: which batch, which
     parameter version (None if the slot was skipped during fill).  Not
     frozen, as a frozen __init__ costs about three times as much, but
-    never assigned to or hashed once built."""
+    never assigned to or hashed once built: traces read by read_csv
+    with one dict share Slot objects, so a field assigned in one would
+    change the others.  dataclasses.replace makes a new one."""
 
     j: int
     batch_index: int

@@ -110,7 +110,13 @@ class _Ints(dict):
         return value
 
 
-def read_csv(path) -> RunTrace:
+def read_csv(path, slots=None) -> RunTrace:
+    """The trace write_csv wrote to path.  slots maps a row's (j,
+    batch_index, version_used) texts to the Slot they give; traces read
+    with one dict share their Slot objects, and a read without one
+    still builds each distinct slot once."""
+    if slots is None:
+        slots = {}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -152,13 +158,16 @@ def read_csv(path) -> RunTrace:
                 and not _gap(float(norm), current.grad_norm))
             if module != last_module:  # the same text, the same list
                 last_module = module
-                slots = current.slots.setdefault(ints[module], [])
-            j, batch = ints[j], ints[batch]
-            if version == "":  # a fill slot: d_kj is empty too
-                version, d_ok = None, d == ""
+                listed = current.slots.setdefault(ints[module], [])
+            texts = j, batch, version
+            slot = slots.get(texts)
+            if slot is None:  # the first row of these texts builds it
+                slot = slots[texts] = Slot(
+                    ints[j], ints[batch], ints[version] if version else None)
+            if slot.version is None:  # a fill slot: d_kj is empty too
+                d_ok = d == ""
             else:
-                version = ints[version]
-                d_ok = ints[d] == s - version
+                d_ok = ints[d] == s - slot.version
         except ValueError:
             raise ComparisonError(f"{path}: bad row {line!r}") from None
         if not agrees:
@@ -167,11 +176,11 @@ def read_csv(path) -> RunTrace:
         if not d_ok:
             raise ComparisonError(f"{path}: row {line!r} has a d_kj other "
                                   f"than s - version_used")
-        if j != len(slots):
+        if slot.j != len(listed):
             raise ComparisonError(
-                f"{path}: row {line!r} is slot j={j} of module "
-                f"{ints[module]}, expected j={len(slots)}")
-        slots.append(Slot(j, batch, version))
+                f"{path}: row {line!r} is slot j={slot.j} of module "
+                f"{ints[module]}, expected j={len(listed)}")
+        listed.append(slot)
     for key in _HEADER_KEYS:
         if key not in meta:
             raise ComparisonError(f"{path}: missing header line '# {key}='")
@@ -181,8 +190,9 @@ def read_csv(path) -> RunTrace:
     # K*M*updates rows, checked before anything is sized by the header
     if not (K >= 1 and M >= 1 and len(lines) - n - 1 == K * M * S):
         raise disagrees
-    # update s = 0..updates-1 holds modules 1..K with M slots each
-    modules = set(range(1, K + 1))
+    # update s = 0..updates-1 holds modules 1..K with M slots each; only
+    # updates >= 1 bounds K by the row count, so updates=0 builds no set
+    modules = set(range(1, K + 1)) if S else set()
     sizes = [len(v) for rec in trace.updates for v in rec.slots.values()]
     if trace.S != S or sizes.count(M) != len(sizes) or any(
             rec.s != i or rec.slots.keys() != modules

@@ -1,11 +1,12 @@
 """CSV round-trips, summaries, and observed-staleness extraction."""
 import math
+import tracemalloc
 
 import pytest
 
-from adl.cli import main
+from adl.cli import main, make_parser
 from adl.errors import ComparisonError
-from adl.oracle import sync_ga_sgd
+from adl.oracle import delayed_replay, sync_ga_sgd
 from adl.scheduler import run_clocked
 from adl.staleness import averaged_los
 from adl.trace import (CSV_COLUMNS, compare_traces, observed_averaged_los,
@@ -211,10 +212,14 @@ _CONTRACT = [
 ]
 
 
-@pytest.mark.parametrize("edit,message", [c[1:] for c in _CONTRACT],
-                         ids=[c[0] for c in _CONTRACT])
-def test_read_csv_row_and_header_contract(tmp_path, capsys, spiral_case,
-                                          edit, message):
+_contract_cases = pytest.mark.parametrize(
+    "edit,message", [c[1:] for c in _CONTRACT],
+    ids=[c[0] for c in _CONTRACT])
+
+
+def _contract_files(tmp_path, spiral_case, edit):
+    """The unedited trace's path, the edited copy's path and the line an
+    error must name."""
     path, _ = roundtrip(run_clocked(*spiral_case(2, 2, S=3)), tmp_path)
     lines = path.read_text().splitlines()
     for i in range(9, 13):  # update 1's loss is 0.5 in each of its rows
@@ -225,6 +230,13 @@ def test_read_csv_row_and_header_contract(tmp_path, capsys, spiral_case,
     named = edit(lines)
     edited = tmp_path / "edited.csv"
     edited.write_text("\n".join(lines) + "\n")
+    return path, edited, named
+
+
+@_contract_cases
+def test_read_csv_row_and_header_contract(tmp_path, capsys, spiral_case,
+                                          edit, message):
+    path, edited, named = _contract_files(tmp_path, spiral_case, edit)
     if message is None:
         a, b = read_csv(path), read_csv(edited)
         assert (a.K, a.M, a.diverged) == (b.K, b.M, b.diverged)
@@ -235,6 +247,83 @@ def test_read_csv_row_and_header_contract(tmp_path, capsys, spiral_case,
         assert captured.err == \
             f"error: {edited}: {message.format(named)}\n"
         assert not captured.out
+
+
+@_contract_cases
+def test_contract_holds_with_the_edited_trace_read_second(
+        tmp_path, capsys, spiral_case, edit, message):
+    # adl compare shares one slot dict between its reads, so every row of
+    # the edited copy meets slots the unedited trace's rows already built
+    path, edited, named = _contract_files(tmp_path, spiral_case, edit)
+    code = main(["compare", str(path), str(edited)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and "result: PASS" in captured.out
+    else:
+        assert code == 2
+        assert captured.err == \
+            f"error: {edited}: {message.format(named)}\n"
+        assert not captured.out
+
+
+def _fields(trace):
+    return (trace.K, trace.M, trace.S, trace.diverged,
+            [(r.s, r.tick, r.loss, r.grad_norm, r.slots)
+             for r in trace.updates])
+
+
+def test_read_csv_with_one_slot_dict_shares_each_slot(tmp_path,
+                                                      spiral_case):
+    cfg, ds = spiral_case(3, 2, S=6)
+    paths = []
+    for name, runner in (("clocked", run_clocked), ("replay", delayed_replay)):
+        paths.append(tmp_path / f"{name}.csv")
+        write_csv(runner(cfg, ds), paths[-1])
+    slots = {}
+    a, b = (read_csv(p, slots) for p in paths)
+    for path, trace in zip(paths, (a, b)):
+        assert _fields(trace) == _fields(read_csv(path))
+    pairs = [(sa, sb) for ra, rb in zip(a.updates, b.updates)
+             for k in ra.slots for sa, sb in zip(ra.slots[k], rb.slots[k])]
+    assert len(pairs) == 3 * 2 * 6
+    assert all(sa is sb for sa, sb in pairs)
+    assert any(sa.skipped for sa, _ in pairs)  # fill slots are shared too
+    triples = {(s.j, s.batch_index, s.version) for s, _ in pairs}
+    assert len({id(s) for s, _ in pairs}) == len(triples) == len(slots)
+    # a read that fails part-way through leaves no wrong slot behind
+    lines = paths[0].read_text().splitlines()
+    for i, column, text, message in (
+            (7, 8, "99", "has a d_kj other"), (8, 7, "x", "bad row"),
+            (9, 5, "1", "is slot j=1 of module 3, expected j=0")):
+        row = lines[i].split(",")
+        row[column] = text
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:i] + [",".join(row)]
+                                 + lines[i + 1:]) + "\n")
+        with pytest.raises(ComparisonError, match=message):
+            read_csv(bad, slots)
+        for path in paths:
+            assert _fields(read_csv(path, slots)) == _fields(read_csv(path))
+
+
+def test_compare_of_updates_0_allocates_nothing_sized_by_k(tmp_path,
+                                                           capsys):
+    # with updates=0 the row count bounds no K: a million-module header
+    # once built a million-entry set before the empty traces were refused
+    path = tmp_path / "empty.csv"
+    path.write_text("# K=1000000\n# M=1\n# updates=0\n# diverged=0\n"
+                    + ",".join(CSV_COLUMNS) + "\n")
+    make_parser()  # built once per process, not part of the peak
+    tracemalloc.start()
+    try:
+        code = main(["compare", str(path), str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: empty traces cannot be compared\n"
+    assert peak < 2**20
 
 
 def test_observed_staleness_matches_prediction(spiral_case):
