@@ -4,8 +4,10 @@ A network is split into K stacked modules that run concurrently on a
 shared clock: while module k forwards micro-batch b, the other modules
 work on neighbouring batches, and gradients arrive back at module k
 with a fixed, computable delay.  Accumulating M micro-gradients before
-each parameter update divides the *effective* staleness by M, which is
-the quantity the convergence bounds in :mod:`adl.staleness` track.
+each parameter update divides by M the lag in parameter versions
+averaged over an update's group: module k's is 2(K-k)/M, the quantity
+the convergence bounds in :mod:`adl.staleness` track.  The lag in
+batches stays 2(K-k) whatever M.
 
 Entry points:
 

@@ -49,11 +49,14 @@ class SgdConfig:
 @dataclass(slots=True)
 class Slot:
     """Provenance of one accumulated gradient: which batch, which
-    parameter version (None if the slot was skipped during fill).  Not
-    frozen, as a frozen __init__ costs about three times as much, but
-    never assigned to or hashed once built: traces read by read_csv
-    with one dict share Slot objects, so a field assigned in one would
-    change the others.  dataclasses.replace makes a new one."""
+    parameter version (None if the slot was skipped during fill).  The
+    traces of a run share them: every runner builds one Slot per
+    distinct (j, batch, version) of a real gradient, each group its own
+    fill slots, and traces read by read_csv with one dict share every
+    Slot.  Not frozen, as a frozen __init__ costs about three times as
+    much, but none is assigned to or hashed once built, since a field
+    assigned in one would change the records that share it.
+    dataclasses.replace makes a new one."""
 
     j: int
     batch_index: int
@@ -83,13 +86,15 @@ class Accumulator:
         self.slots = [Slot(j, first_batch + j) for j in range(
             min(capacity, -first_batch))] if first_batch < 0 else []
 
-    def add(self, grads, batch_index: int, version: int):
+    def add(self, grads, batch_index: int, version: int, table=None):
         """Accumulate a real gradient (list of flat per-layer arrays) as
         the next slot.  The accumulator takes the list and its arrays
         over, so no one else may read them: the group's first gradient
         becomes the sums in place, 0.0 + g (-0.0 turns +0.0, the bits of
         zeros + g), and later ones add into them.  An empty vector has
-        no bits and is kept as it is."""
+        no bits and is kept as it is.  table, if given, maps slot index
+        j to the Slot of this batch and version that another group has
+        built: the slot reuses it, or builds it and stores it there."""
         sizes, slots, sums = self._sizes, self.slots, self._sums
         if len(grads) != len(sizes):
             raise ProtocolError("gradient layout does not match accumulator")
@@ -97,7 +102,13 @@ class Accumulator:
         if j == self.capacity:
             raise ProtocolError(
                 f"accumulator overflow: {self.capacity} slots already held")
-        slots.append(Slot(j, batch_index, version))
+        if table is None:
+            slots.append(Slot(j, batch_index, version))
+        else:
+            slot = table.get(j)
+            if slot is None:
+                slot = table[j] = Slot(j, batch_index, version)
+            slots.append(slot)
         if sums is None:  # the first gradient turns into 0.0 + g in place
             for g, n in zip(grads, sizes):
                 if g.shape != (n,):

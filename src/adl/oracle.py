@@ -79,16 +79,18 @@ def delayed_replay(cfg: TrainConfig, dataset: Dataset) -> RunTrace:
 
     def replay(t):
         """Batch t on the live version t // M; each module's slice goes to
-        the update that reads it.  Returns the loss."""
+        the update that reads it, its Slots shared through one table of
+        the pass.  Returns the loss."""
         x, y = sample_batch(dataset, cfg.batch_size, cfg.seed, t)
         loss, ctx = net_forward(cfg.layers, params, x, cfg.loss, y)
         grads, _ = net_backward(cfg.layers,
                                 first_module_params(cfg.layers, params), ctx)
         del x, y, ctx  # the pass's arrays die before any sums start
+        table = {}
         for k, sl in slices.items():
             u = (t + 2 * (K - k)) // M
             if u < S:
-                acc_for(k, u).add(grads[sl], t, t // M)
+                acc_for(k, u).add(grads[sl], t, t // M, table)
             grads[sl] = [None] * (sl.stop - sl.start)  # released once added
         return loss
 

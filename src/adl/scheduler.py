@@ -30,14 +30,18 @@ A ModuleWorker computes on plain arrays, and process_slot is its whole
 slot: forward, stash, delayed backward, accumulation and update, with the
 backward's arrays dead before the update.  feed_slot alone owns the slot
 protocol: it reads, index-checks, builds and sends the messages, plain
-(batch, payload, target) tuples, on edges keyed (sender, receiver) and
-looked up once per run for each worker (_ports), and both runners feed
-every slot through it.  Both build every edge from one
-class, an unbounded FIFO that the schedule itself bounds, and differ only
-in how long a read waits: run_clocked executes the tick loop in-process,
-and its reads never wait; run_parallel runs one thread per module, and
-produces a bit-identical trace (each worker performs the same float
-operations in the same order, only wall-clock interleaving differs).
+tuples, (batch, activations, target) up and (batch, input gradient,
+slot table) down, on edges keyed (sender, receiver) and looked up once
+per run for each worker (_ports), and both runners feed every slot
+through it.  Module K starts each batch's table, from slot index j to
+the batch's Slot, and the modules below reuse it one at a time, so a run
+builds one Slot per distinct (j, batch, version) of a real gradient.
+Both build every edge from one class, an unbounded FIFO that the
+schedule itself bounds, and differ only in how long a read waits:
+run_clocked executes the tick loop in-process, and its reads never
+wait; run_parallel runs one thread per module, and produces a
+bit-identical trace (each worker performs the same float operations in
+the same order, only wall-clock interleaving differs).
 
 _assemble builds every runner's trace, the oracles' too, from the config
 and the K module records of each update, and judges divergence from the
@@ -226,11 +230,12 @@ class ModuleWorker:
         the stashed lists as kept (first_module_params in module 1)."""
         return {**{v: p for *_, v, p in self.stash}, self.version: self.params}
 
-    def process_slot(self, u: int, x, target, gout):
+    def process_slot(self, u: int, x, target, gout, table=None):
         """Run slot 0 <= u < M*S: forward batch u, backward batch
         t_b = u - 2*(K-k) from gout, the gradient of its output (module K
         outputs and uses its own loss gradient), and update if u closes a
-        group.  Returns (output, input gradient of t_b or None if t_b < 0)."""
+        group; table, if given, is t_b's slot table (Accumulator.add).
+        Returns (output, input gradient of t_b or None if t_b < 0)."""
         M, version, stash = self.M, self.version, self.stash
         if version != u // M:
             raise ProtocolError(
@@ -265,7 +270,7 @@ class ModuleWorker:
             for i in self._backward:
                 grads[i], g = layer_backward(specs[i], sparams[i],
                                              inters.pop(), g)
-            self.acc.add(grads, t_b, used)
+            self.acc.add(grads, t_b, used, table)
             del sparams, grads
         del inters  # the backward's arrays are dead before the update
         if j == M - 1:
@@ -369,12 +374,13 @@ def feed_slot(w: ModuleWorker, u: int, ports: tuple, cfg: TrainConfig,
               dataset: Dataset):
     """Gather worker w's slot-u inputs, run the slot and send its outputs.
 
-    feed_slot alone reads, index-checks, builds and sends the (batch,
-    payload, target) messages, through get() and put() on w's ports, its
-    edges to the adjacent modules (see _ports).  Module 1, which has no
-    activation input, samples batch u once, and its target rides up
-    to module K on the activations.  The input gradient of batch t_b
-    goes down if module k-1 backpropagates t_b before its last slot."""
+    feed_slot alone reads, index-checks, builds and sends the messages,
+    through get() and put() on w's ports, its edges to the adjacent
+    modules (see _ports).  Module 1, which has no activation input,
+    samples batch u once, and its target rides up to module K on the
+    activations.  Module K starts batch t_b's slot table, and the input
+    gradient of t_b goes down with it if module k-1 backpropagates t_b
+    before its last slot."""
     x_in, g_in, y_out, g_out = ports
     t_b = u - w.two_delta
     if x_in is None:
@@ -384,17 +390,19 @@ def feed_slot(w: ModuleWorker, u: int, ports: tuple, cfg: TrainConfig,
         if b != u:
             raise ProtocolError(
                 f"module {w.k} expected activation {u}, got {b}")
-    gout = None
-    if g_in is not None and t_b >= 0:
-        b, gout, _ = g_in.get()
+    gout = table = None
+    if g_in is None:
+        table = {}  # module K starts batch t_b's slot table
+    elif t_b >= 0:
+        b, gout, table = g_in.get()
         if b != t_b:
             raise ProtocolError(f"module {w.k} expected gradient for batch "
                                 f"{t_b}, got {b}")
-    y, grad = w.process_slot(u, x, target, gout)
+    y, grad = w.process_slot(u, x, target, gout, table)
     if y_out is not None:
         y_out.put((u, y, target))
     if g_out is not None and 0 <= t_b < w.stash_end - 2:
-        g_out.put((t_b, grad, None))
+        g_out.put((t_b, grad, table))
 
 
 def _clock(K: int, MS: int):

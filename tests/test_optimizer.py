@@ -146,6 +146,21 @@ def test_overflow_is_protocol_violation():
     assert len(acc.slots) == 1
 
 
+def test_groups_given_one_table_share_its_slots():
+    # a table maps slot index j to the Slot a group built for it: a later
+    # group reuses it, a new j builds one and stores it, and a group given
+    # no table builds its own
+    table = {}
+    a, b, c, own = (Accumulator([1], 2, first) for first in (0, 4, -1, 0))
+    a.add([np.ones(1)], 5, 2, table)
+    b.add([np.ones(1)], 5, 2, table)
+    c.add([np.ones(1)], 5, 2, table)  # j = 1 behind its fill slot
+    own.add([np.ones(1)], 5, 2)
+    assert table == {0: Slot(0, 5, 2), 1: Slot(1, 5, 2)}
+    assert a.slots[0] is b.slots[0] is table[0] is not own.slots[0]
+    assert c.slots[1] is table[1] and own.slots[0] == a.slots[0]
+
+
 def test_slot_is_a_replaceable_dataclass():
     slot = Slot(1, 7, 3)
     moved = dataclasses.replace(slot, version=None)

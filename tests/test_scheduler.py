@@ -128,6 +128,99 @@ def test_no_accumulation_constant_delay(ident_case):
                 assert sl.skipped
 
 
+def slot_owners(trace):
+    """{(j, batch_index, version): {id of each Slot object holding it}}
+    over the real slots of every module record of the trace."""
+    owners = {}
+    for rec in trace.updates:
+        for slots in rec.slots.values():
+            for sl in slots:
+                if not sl.skipped:
+                    owners.setdefault((sl.j, sl.batch_index, sl.version),
+                                      set()).add(id(sl))
+    return owners
+
+
+@pytest.mark.parametrize("runner,K,M", [
+    (runner, K, M) for runner in (run_clocked, delayed_replay)
+    for K, M in itertools.product((2, 3, 8), (1, 2, 4))] + [
+    (run_parallel, 2, M) for M in (1, 2, 4)])  # a thread per module
+def test_a_run_builds_one_slot_per_distinct_provenance(runner, K, M,
+                                                       ident_case):
+    # modules k and k' record the same (j, batch, version) whenever M
+    # divides 2(k - k'): every runner builds that Slot once and shares it;
+    # each group builds its own fill slots
+    cfg, ds = ident_case(K, M, S=8)
+    trace = runner(cfg, ds)
+    assert trace.S == 8
+    owners = slot_owners(trace)
+    assert all(len(ids) == 1 for ids in owners.values())
+    real = sum(not sl.skipped for rec in trace.updates
+               for slots in rec.slots.values() for sl in slots)
+    assert real == sum(max(0, 8 * M - 2 * (K - k)) for k in range(1, K + 1))
+    if M < 4 or K > 2:  # some module pair's lag differs by a multiple of M
+        assert len(owners) < real
+
+
+def test_threads_switched_often_still_share_each_batch_slots(ident_case):
+    # a batch's table passes down through K=4 module threads, more than a
+    # 2-core machine has cores; each thread reads it only after the one
+    # above has added its slot, so no Slot is built twice
+    cfg, ds = ident_case(4, 2, S=16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        trace = run_parallel(cfg, ds, deadlock_timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert compare_traces(run_clocked(cfg, ds), trace, tol=0.0).passed
+    assert all(len(ids) == 1 for ids in slot_owners(trace).values())
+
+
+def test_a_sync_trace_holds_one_slot_per_batch(spiral_case):
+    # K=1 has no delay and no fill: slot j of update s+1 is batch Ms + j at
+    # version s, each its own Slot, as one module has none to share
+    M, S = 3, 5
+    cfg, ds = spiral_case(1, M, S=S)
+    trace = sync_ga_sgd(cfg, ds)
+    assert [rec.slots for rec in trace.updates] == [
+        {1: [optimizer.Slot(j, M * s + j, s) for j in range(M)]}
+        for s in range(S)]
+    assert len({id(sl) for rec in trace.updates for sl in rec.slots[1]}) \
+        == M * S
+    assert compare_traces(trace, run_clocked(cfg, ds), tol=0.0).passed
+
+
+def test_a_gradient_message_without_a_table_builds_its_own_slots(
+        spiral_case, monkeypatch):
+    # a gradient message whose third field is None carries no slot table,
+    # so each module below builds its own Slots: the same provenance, no
+    # object shared
+    class Tableless(scheduler._Edge):
+        def put(self, msg):
+            if self.key == (3, 2):
+                msg = (*msg[:2], None)
+            super().put(msg)
+
+    def most_modules_per_slot(trace):
+        """The most modules whose records hold one real Slot object."""
+        modules = {}
+        for rec in trace.updates:
+            for k, slots in rec.slots.items():
+                for sl in slots:
+                    if not sl.skipped:
+                        modules.setdefault(id(sl), set()).add(k)
+        return max(map(len, modules.values()))
+
+    cfg, ds = spiral_case(3, 2, S=6)
+    shared = run_clocked(cfg, ds)
+    monkeypatch.setattr(scheduler, "_Edge", Tableless)
+    own = run_clocked(cfg, ds)
+    assert compare_traces(shared, own, tol=0.0).passed
+    assert most_modules_per_slot(shared) == 3
+    assert most_modules_per_slot(own) == 1
+
+
 def test_update_ticks_and_counts(ident_case, monkeypatch):
     K, M, S = 3, 4, 5
     cfg, ds = ident_case(K, M, S)
